@@ -50,7 +50,10 @@ def main() -> None:
         "best columns\ndo not mirror."
     )
 
-    print(f"\nepisodes simulated in total: {result.episodes_total}")
+    print(
+        f"\nepisodes simulated in total: {result.episodes_total} (each row's "
+        "episodes column\ncounts the whole iteration, shared by both sides)"
+    )
     red_champion = result.best("red")
     blue_champion = result.best("blue")
     print(

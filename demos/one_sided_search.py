@@ -46,7 +46,7 @@ def main() -> None:
             )
     print(f"\nepisodes simulated in total: {result.episodes_total}")
 
-    champion = result.best
+    champion = result.best("blue")
     print(f"\nChampion program (fitness {champion.fitness:.1f}):")
     for line in (champion.program or "").splitlines():
         print(f"    {line}")

@@ -1,7 +1,7 @@
 """Evolutionary and coevolutionary training of cyber-defense controllers
 inside a discrete-step red/blue/green network scenario."""
 
-from .coevolution import CoevolutionResult, all_vs_all, coevolve, mean_expected_utility
+from .coevolution import all_vs_all, coevolve, mean_expected_utility
 from .episodes import EpisodeResult, run_episode
 from .errors import (
     ControllerError,
@@ -54,7 +54,6 @@ from .traces import FitnessTrace, TraceRecord, running_best
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoevolutionResult",
     "CompletionResult",
     "ControllerError",
     "CyberevoError",

@@ -11,26 +11,22 @@ cache, so best fitness may move down as well as up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .controllers.base import SleepController
-from .episodes import run_episode
 from .errors import SimulationFault
 from .evolution import (
+    INVALID_PENALTY,
     EvoConfig,
+    EvolutionResult,
     Individual,
-    _make_children,
+    _generational_loop,
     episode_seeds,
-    fresh_individual,
+    evaluate_team,
 )
 from .scenario.config import ScenarioConfig
-from .seeds import STREAM_VARIATION, spawn_generator
-from .traces import FitnessTrace
 
-PENALTY = 1000.0
+PENALTY = INVALID_PENALTY
 
 
 def mean_expected_utility(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,12 +64,8 @@ def all_vs_all(
         for j, blue in enumerate(blue_population):
             blue_team = _playable(blue, "blue")
             seeds = episode_seeds(master_seed, trial, iteration, i, j, evo.repetitions)
-            total = 0.0
             try:
-                for seed in seeds:
-                    result = run_episode(scenario, seed, blue_team, red_team)
-                    total += result.red_total
-                matrix[i, j] = total / len(seeds)
+                matrix[i, j] = evaluate_team(red_team, blue_team, "red", scenario, seeds)
             except SimulationFault:
                 faults[i, j] = True
             episodes += len(seeds)
@@ -98,21 +90,6 @@ def _assign_fitness(
             individual.fitness = worst - PENALTY
 
 
-@dataclass
-class CoevolutionResult:
-    """Traces and final champions of a two-population run."""
-
-    trace: FitnessTrace
-    best_red_per_trial: list[Individual]
-    best_blue_per_trial: list[Individual]
-    episodes_total: int
-    llm_report: Optional[dict] = None
-
-    def best(self, side: str) -> Individual:
-        pool = self.best_red_per_trial if side == "red" else self.best_blue_per_trial
-        return max(pool, key=lambda ind: ind.fitness)
-
-
 def coevolve(
     red_decoder,
     blue_decoder,
@@ -122,74 +99,26 @@ def coevolve(
     label: str,
     llm_client=None,
     llm_stats=None,
-) -> CoevolutionResult:
-    """Run competitive coevolution and log one record per side per iteration."""
-    if llm_client is not None and llm_stats is None:
-        from .llm import LlmStats  # local import keeps the LLM layer optional
+) -> EvolutionResult:
+    """Run competitive coevolution and log one record per side per iteration.
 
-        llm_stats = LlmStats()
-    trace = FitnessTrace()
-    best_red: list[Individual] = []
-    best_blue: list[Individual] = []
-    episodes_total = 0
-    for trial in range(evo.trials):
-        rng_red = spawn_generator(master_seed, STREAM_VARIATION, trial, 0)
-        rng_blue = spawn_generator(master_seed, STREAM_VARIATION, trial, 1)
-        reds = [
-            fresh_individual(red_decoder, rng_red, evo.invalid_retry_cap)
-            for _ in range(evo.population_size)
-        ]
-        blues = [
-            fresh_individual(blue_decoder, rng_blue, evo.invalid_retry_cap)
-            for _ in range(evo.population_size)
-        ]
-        for iteration in range(evo.iterations):
-            matrix, faults, episodes = all_vs_all(
-                reds, blues, scenario, evo, master_seed, trial, iteration
-            )
-            episodes_total += episodes
-            red_util, blue_util = mean_expected_utility(matrix)
-            _assign_fitness(reds, red_util, faults.any(axis=1))
-            _assign_fitness(blues, blue_util, faults.any(axis=0))
-            for side, population in (("red", reds), ("blue", blues)):
-                fits = [ind.fitness for ind in population]
-                trace.append(
-                    trial, iteration, side, label,
-                    max(fits), float(np.mean(fits)), episodes,
-                )
-            if iteration == evo.iterations - 1:
-                break
-            next_reds = _next_population(
-                reds, red_decoder, rng_red, evo, llm_client, llm_stats
-            )
-            next_blues = _next_population(
-                blues, blue_decoder, rng_blue, evo, llm_client, llm_stats
-            )
-            reds, blues = next_reds, next_blues
-        best_red.append(max(reds, key=lambda ind: ind.fitness))
-        best_blue.append(max(blues, key=lambda ind: ind.fitness))
-    report = llm_stats.summary() if llm_stats is not None else None
-    return CoevolutionResult(
-        trace=trace,
-        best_red_per_trial=best_red,
-        best_blue_per_trial=best_blue,
-        episodes_total=episodes_total,
-        llm_report=report,
+    Each iteration's red and blue records both carry the whole
+    iteration's episode count, so summing ``episodes_used`` over a
+    coevolution trace counts every episode twice; ``episodes_total``
+    counts each once.
+    """
+
+    def assign_fitness(populations, trial, iteration) -> int:
+        reds, blues = populations["red"], populations["blue"]
+        matrix, faults, episodes = all_vs_all(
+            reds, blues, scenario, evo, master_seed, trial, iteration
+        )
+        red_util, blue_util = mean_expected_utility(matrix)
+        _assign_fitness(reds, red_util, faults.any(axis=1))
+        _assign_fitness(blues, blue_util, faults.any(axis=0))
+        return episodes
+
+    return _generational_loop(
+        {"red": red_decoder, "blue": blue_decoder}, assign_fitness, evo,
+        master_seed, label, llm_client, llm_stats,
     )
-
-
-def _next_population(
-    population: list[Individual],
-    decoder,
-    rng: np.random.Generator,
-    evo: EvoConfig,
-    llm_client,
-    llm_stats,
-) -> list[Individual]:
-    elites = sorted(population, key=lambda ind: ind.fitness, reverse=True)
-    elites = [ind.clone_unevaluated() for ind in elites[: evo.elite_count]]
-    children = _make_children(
-        population, decoder, rng, evo,
-        evo.population_size - len(elites), llm_client, llm_stats,
-    )
-    return elites + children

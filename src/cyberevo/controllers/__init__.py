@@ -18,7 +18,6 @@ from .matrix import (
     cells_per_controller,
     decode_matrix_team,
     matrix_actions,
-    matrix_decide,
     normalize_row,
     team_genome_length,
     team_size,
@@ -51,7 +50,6 @@ __all__ = [
     "eval_rules",
     "load_fsm_adversary",
     "matrix_actions",
-    "matrix_decide",
     "normalize_row",
     "observation_fn",
     "resolve_target",

@@ -121,11 +121,6 @@ class MatrixController:
         return self.sample(state, rng), self.default_heuristic
 
 
-def matrix_decide(controller: MatrixController, state: str, rng: np.random.Generator) -> str:
-    """Sample an action for a classified state."""
-    return controller.sample(state, rng)
-
-
 def decode_matrix_team(
     genome: Sequence[float] | np.ndarray,
     side: str,

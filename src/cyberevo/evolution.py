@@ -1,7 +1,8 @@
-"""One-sided evolutionary training against a fixed adversary.
+"""The generational loop, and one-sided training against a fixed adversary.
 
-Three solution representations share a generational loop with elitism
-and tournament selection:
+One loop with elitism and tournament selection breeds every population;
+one-sided runs and coevolution (see ``coevolution``) differ only in how
+they assign fitness.  Three solution representations share it:
 
 - continuous matrix genomes ([0, 1] genes, Gaussian mutation),
 - discrete matrix genomes (codes 0..3, redraw mutation),
@@ -16,7 +17,7 @@ far.  Simulation faults during evaluation are scored the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,8 +77,10 @@ class Individual:
     ast: Optional[RuleAst] = None
     detached: bool = False  # program was edited directly; genome is stale
 
-    def clone_unevaluated(self) -> "Individual":
-        return replace(self, fitness=None)
+    @classmethod
+    def decoded(cls, genome: np.ndarray, outcome: "DecodeOutcome") -> "Individual":
+        return cls(genome, outcome.team, outcome.valid, program=outcome.program,
+                   ast=outcome.ast)
 
 
 @dataclass(frozen=True)
@@ -222,20 +225,12 @@ def fresh_individual(
     decoder, rng: np.random.Generator, retry_cap: int
 ) -> Individual:
     """Random individual, retrying invalid grammar decodes up to the cap."""
-    genome = decoder.random_genome(rng)
-    outcome = decoder.decode(genome)
-    attempts = 0
-    while not outcome.valid and attempts < retry_cap:
+    for _ in range(1 + max(retry_cap, 0)):
         genome = decoder.random_genome(rng)
         outcome = decoder.decode(genome)
-        attempts += 1
-    return Individual(
-        genome=genome,
-        team=outcome.team,
-        valid=outcome.valid,
-        program=outcome.program,
-        ast=outcome.ast,
-    )
+        if outcome.valid:
+            break
+    return Individual.decoded(genome, outcome)
 
 
 def evaluate_team(
@@ -257,18 +252,6 @@ def evaluate_team(
     return total / len(seeds)
 
 
-@dataclass
-class _EvalState:
-    worst_seen: float = 0.0
-    episodes: int = 0
-
-    def penalty(self) -> float:
-        return self.worst_seen - INVALID_PENALTY
-
-    def record(self, fitness: float) -> None:
-        self.worst_seen = min(self.worst_seen, fitness)
-
-
 def episode_seeds(
     master_seed: int, trial: int, iteration: int, i: int, j: int, repetitions: int
 ) -> list[int]:
@@ -279,45 +262,17 @@ def episode_seeds(
     ]
 
 
-def _evaluate(
-    individual: Individual,
-    index: int,
-    side: str,
-    adversary: Team,
-    scenario: ScenarioConfig,
-    evo: EvoConfig,
-    master_seed: int,
-    trial: int,
-    iteration: int,
-    state: _EvalState,
-) -> None:
-    if not individual.valid:
-        individual.fitness = state.penalty()
-        return
-    seeds = episode_seeds(master_seed, trial, iteration, index, 0, evo.repetitions)
-    try:
-        fitness = evaluate_team(individual.team, adversary, side, scenario, seeds)
-    except SimulationFault:
-        state.episodes += len(seeds)
-        individual.fitness = state.penalty()
-        return
-    state.episodes += len(seeds)
-    individual.fitness = fitness
-    state.record(fitness)
-
-
 @dataclass
 class EvolutionResult:
-    """Everything a finished one-sided run produced."""
+    """Everything a finished run produced, one champion per trial per side."""
 
     trace: FitnessTrace
-    best_per_trial: list[Individual]
+    best_per_trial: dict[str, list[Individual]]
     episodes_total: int
     llm_report: Optional[dict] = None
 
-    @property
-    def best(self) -> Individual:
-        return max(self.best_per_trial, key=lambda ind: ind.fitness)
+    def best(self, side: str) -> Individual:
+        return max(self.best_per_trial[side], key=lambda ind: ind.fitness)
 
 
 def _make_children(
@@ -338,10 +293,9 @@ def _make_children(
             genomes = one_point_crossover(parent_a.genome, parent_b.genome, rng)
         else:
             genomes = (parent_a.genome.copy(), parent_b.genome.copy())
-        for which, genome in enumerate(genomes):
+        for parent, genome in zip((parent_a, parent_b), genomes):
             if len(children) >= needed:
                 break
-            parent = (parent_a, parent_b)[which]
             if llm_client is not None:
                 children.append(
                     _llm_child(parent, genome, decoder, llm_client, llm_stats, rng, evo)
@@ -350,19 +304,9 @@ def _make_children(
             mutated = decoder.mutate(genome, rng, evo)
             outcome = decoder.decode(mutated)
             if outcome.valid:
-                children.append(
-                    Individual(
-                        genome=mutated,
-                        team=outcome.team,
-                        valid=True,
-                        program=outcome.program,
-                        ast=outcome.ast,
-                    )
-                )
+                children.append(Individual.decoded(mutated, outcome))
             else:
-                children.append(
-                    fresh_individual(decoder, rng, evo.invalid_retry_cap)
-                )
+                children.append(fresh_individual(decoder, rng, evo.invalid_retry_cap))
     return children
 
 
@@ -401,6 +345,77 @@ def _llm_child(
     )
 
 
+def _generational_loop(
+    decoders: dict,
+    assign_fitness,
+    evo: EvoConfig,
+    master_seed: int,
+    label: str,
+    llm_client,
+    llm_stats,
+) -> EvolutionResult:
+    """Breed one population per side of `decoders` through every trial.
+
+    `assign_fitness(populations, trial, iteration)` scores the
+    populations (a dict keyed like `decoders`) and returns the number of
+    episodes it played; every side's trace record carries that count.
+    Elites survive as the same objects, fitness included.
+    """
+    if llm_client is not None and evo.controllers_per_team != "one":
+        raise ValueError("LLM mutation edits a single shared controller program")
+    if llm_client is not None and llm_stats is None:
+        from .llm import LlmStats  # local import keeps the LLM layer optional
+
+        llm_stats = LlmStats()
+    trace = FitnessTrace()
+    best_per_trial: dict[str, list[Individual]] = {side: [] for side in decoders}
+    episodes_total = 0
+    # A lone population draws from (master, STREAM_VARIATION, trial);
+    # several populations each append their side index to that key.
+    side_keys = [()] if len(decoders) == 1 else [(k,) for k in range(len(decoders))]
+    for trial in range(evo.trials):
+        rngs = {
+            side: spawn_generator(master_seed, STREAM_VARIATION, trial, *key)
+            for side, key in zip(decoders, side_keys)
+        }
+        populations = {
+            side: [
+                fresh_individual(decoder, rngs[side], evo.invalid_retry_cap)
+                for _ in range(evo.population_size)
+            ]
+            for side, decoder in decoders.items()
+        }
+        for iteration in range(evo.iterations):
+            episodes = assign_fitness(populations, trial, iteration)
+            episodes_total += episodes
+            for side, population in populations.items():
+                fits = [ind.fitness for ind in population]
+                trace.append(
+                    trial, iteration, side, label,
+                    max(fits), float(np.mean(fits)), episodes,
+                )
+            if iteration == evo.iterations - 1:
+                break
+            for side, population in populations.items():
+                elites = sorted(
+                    population, key=lambda ind: ind.fitness, reverse=True
+                )[: evo.elite_count]
+                children = _make_children(
+                    population, decoders[side], rngs[side], evo,
+                    evo.population_size - len(elites), llm_client, llm_stats,
+                )
+                populations[side] = elites + children
+        for side, population in populations.items():
+            best_per_trial[side].append(max(population, key=lambda ind: ind.fitness))
+    report = llm_stats.summary() if llm_stats is not None else None
+    return EvolutionResult(
+        trace=trace,
+        best_per_trial=best_per_trial,
+        episodes_total=episodes_total,
+        llm_report=report,
+    )
+
+
 def evolve_one_sided(
     side: str,
     decoder,
@@ -416,53 +431,39 @@ def evolve_one_sided(
 
     Writes one trace record per (trial, iteration); `best` per record is
     the current population's best cached fitness, which is monotone
-    within a trial because the elite keeps its exact fitness.
+    within a trial because the elite keeps its exact fitness.  Only
+    unscored individuals play; an invalid one, or one whose episodes
+    raise a `SimulationFault`, scores the worst fitness seen so far in
+    the run minus `INVALID_PENALTY`.
     """
-    if llm_client is not None and evo.controllers_per_team != "one":
-        raise ValueError("LLM mutation edits a single shared controller program")
-    if llm_client is not None and llm_stats is None:
-        from .llm import LlmStats  # local import keeps the LLM layer optional
+    worst_seen = 0.0
 
-        llm_stats = LlmStats()
-    trace = FitnessTrace()
-    best_per_trial: list[Individual] = []
-    state = _EvalState()
-    for trial in range(evo.trials):
-        rng = spawn_generator(master_seed, STREAM_VARIATION, trial)
-        population = [
-            fresh_individual(decoder, rng, evo.invalid_retry_cap)
-            for _ in range(evo.population_size)
-        ]
-        for iteration in range(evo.iterations):
-            marker = state.episodes
-            for index, individual in enumerate(population):
-                if individual.fitness is None:
-                    _evaluate(
-                        individual, index, side, adversary, scenario, evo,
-                        master_seed, trial, iteration, state,
+    def assign_fitness(populations, trial, iteration) -> int:
+        nonlocal worst_seen
+        episodes = 0
+        for index, individual in enumerate(populations[side]):
+            if individual.fitness is not None:
+                continue
+            fitness = None
+            if individual.valid:
+                seeds = episode_seeds(
+                    master_seed, trial, iteration, index, 0, evo.repetitions
+                )
+                episodes += len(seeds)
+                try:
+                    fitness = evaluate_team(
+                        individual.team, adversary, side, scenario, seeds
                     )
-            fits = [ind.fitness for ind in population]
-            trace.append(
-                trial, iteration, side, label,
-                max(fits), float(np.mean(fits)), state.episodes - marker,
+                except SimulationFault:
+                    pass
+                else:
+                    worst_seen = min(worst_seen, fitness)
+            individual.fitness = (
+                worst_seen - INVALID_PENALTY if fitness is None else fitness
             )
-            if iteration == evo.iterations - 1:
-                break
-            elites = sorted(
-                population, key=lambda ind: ind.fitness, reverse=True
-            )[: evo.elite_count]
-            children = _make_children(
-                population, decoder, rng, evo,
-                evo.population_size - len(elites), llm_client, llm_stats,
-            )
-            population = elites + children
-        best_per_trial.append(
-            max(population, key=lambda ind: ind.fitness)
-        )
-    report = llm_stats.summary() if llm_stats is not None else None
-    return EvolutionResult(
-        trace=trace,
-        best_per_trial=best_per_trial,
-        episodes_total=state.episodes,
-        llm_report=report,
+        return episodes
+
+    return _generational_loop(
+        {side: decoder}, assign_fitness, evo, master_seed, label,
+        llm_client, llm_stats,
     )

@@ -20,7 +20,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
-from .coevolution import CoevolutionResult, coevolve
+from .coevolution import coevolve
 from .controllers.fsm import load_fsm_adversary
 from .errors import ExperimentSpecError
 from .evolution import EvoConfig, EvolutionResult, evolve_one_sided, make_decoder
@@ -164,7 +164,7 @@ class ExperimentOutcome:
     csv_path: str
     meta_path: str
     trace: FitnessTrace
-    result: EvolutionResult | CoevolutionResult
+    result: EvolutionResult
     wall_time_s: float
 
 
@@ -190,7 +190,7 @@ def run_experiment(
     os.makedirs(output_dir, exist_ok=True)
     started = time.perf_counter()
     if spec.evolving == "both":
-        result: EvolutionResult | CoevolutionResult = coevolve(
+        result = coevolve(
             make_decoder(spec.algorithm, "red", evo.controllers_per_team, spec.variant),
             make_decoder(spec.algorithm, "blue", evo.controllers_per_team, spec.variant),
             scenario, evo, master_seed, spec.name, llm_client=llm_client,

@@ -9,7 +9,6 @@ from .ast import (
     Statement,
     SuccessTest,
     TargetAssign,
-    node_count,
 )
 from .mapping import MAX_WRAPS, MappingResult, build_ast, map_genome, tree_terminals
 from .model import DerivNode, Grammar, NonTerminal, Terminal
@@ -38,7 +37,6 @@ __all__ = [
     "grammar_asset_name",
     "load_grammar",
     "map_genome",
-    "node_count",
     "parse_grammar",
     "parse_program",
     "render_program",

@@ -57,17 +57,3 @@ class RuleAst:
 
     action_statements: tuple[Statement, ...]
     target_statements: tuple[Statement, ...] = ()
-
-
-def node_count(node) -> int:
-    """Total nodes in a tree or subtree; useful to compare mutation sizes."""
-    if isinstance(node, RuleAst):
-        return sum(node_count(s) for s in node.action_statements + node.target_statements)
-    if isinstance(node, IfStatement):
-        return 1 + node_count(node.condition) + node_count(node.body)
-    if isinstance(node, Condition):
-        total = 1 + node_count(node.left)
-        if node.right is not None:
-            total += node_count(node.right)
-        return total
-    return 1

@@ -67,11 +67,6 @@ class ScenarioConfig:
         data["reward_table"] = self.reward_table.as_dict()
         return data
 
-    def to_file(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         kwargs = dict(data)

@@ -32,7 +32,6 @@ ZONE_TABLE = (
 
 ZONES = tuple(z for z, _, _ in ZONE_TABLE)
 HOST_ZONES = tuple(z for z in ZONES if z != INTERNET)
-NETWORKS = ("deployed_a", "deployed_b", "hq", "contractor")
 REWARD_ZONE_OF = {z: label for z, _, label in ZONE_TABLE}
 
 # Restricted zones front their operational zones; HQ zones are fully
@@ -79,10 +78,6 @@ class Topology:
         for host in self.hosts.values():
             by_zone[host.zone].append(host.id)
         self.hosts_by_zone = by_zone
-
-    @property
-    def networks(self) -> tuple[str, ...]:
-        return NETWORKS
 
     @property
     def zones(self) -> tuple[str, ...]:

@@ -7,9 +7,12 @@ what makes traces byte-reproducible.
 
 Conventions used across the package:
 
-* topology:   (master, trial, STREAM_TOPOLOGY, repetition)
 * episode:    (master, trial, iteration, i, j, repetition, STREAM_EPISODE)
-* variation:  (master, trial, STREAM_VARIATION)
+* topology:   (episode seed, STREAM_TOPOLOGY), a fresh network per episode
+* scenario:   (episode seed), the engine's own draws (greens, outcomes)
+* controller: (episode seed, STREAM_CONTROLLER)
+* variation:  (master, STREAM_VARIATION, trial), plus the side index
+  (0 red, 1 blue) under coevolution
 
 where ``i``/``j`` are individual indices (``j`` is 0 for one-sided runs).
 """

@@ -61,18 +61,19 @@ FUZZ_PER_VARIANT = 10_000
 def ga_blue_full_run():
     """Full-scale GA blue search, spying on every fitness evaluation.
 
-    The spy wraps the evaluation helper so the raw fitness of every
-    individual ever scored is captured, not just the per-iteration
+    The spy wraps the episode-evaluation function so the raw fitness of
+    every individual ever scored is captured, not just the per-iteration
     aggregates that reach the trace.
     """
     recorded: list[float] = []
-    original = evolution_module._evaluate
+    original = evolution_module.evaluate_team
 
-    def spy(individual, *args, **kwargs):
-        original(individual, *args, **kwargs)
-        recorded.append(individual.fitness)
+    def spy(*args, **kwargs):
+        fitness = original(*args, **kwargs)
+        recorded.append(fitness)
+        return fitness
 
-    evolution_module._evaluate = spy
+    evolution_module.evaluate_team = spy
     try:
         result = evolve_one_sided(
             "blue",
@@ -84,7 +85,7 @@ def ga_blue_full_run():
             label="GA-B",
         )
     finally:
-        evolution_module._evaluate = original
+        evolution_module.evaluate_team = original
     return result, recorded
 
 
@@ -300,7 +301,7 @@ def test_criterion_08_blue_fitness_never_positive(criterion, ga_blue_full_run):
         ) * (defaults.population_size - defaults.elite_count)
         assert len(recorded) == defaults.trials * evaluations_per_trial
         assert all(value is not None and value <= 0.0 for value in recorded)
-        assert result.best.fitness <= 0.0
+        assert result.best("blue").fitness <= 0.0
 
         monitor_blue = RuleController(
             RuleAst(action_statements=(ActionAssign("Monitor"),)), "blue"

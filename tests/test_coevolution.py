@@ -8,7 +8,6 @@ import pytest
 from cyberevo.controllers.base import FixedActionController
 from cyberevo.coevolution import (
     PENALTY,
-    CoevolutionResult,
     _assign_fitness,
     all_vs_all,
     coevolve,
@@ -16,9 +15,11 @@ from cyberevo.coevolution import (
 )
 from cyberevo.evolution import (
     DecodeOutcome,
+    EvolutionResult,
     EvoConfig,
     Individual,
     MatrixTeamDecoder,
+    RuleTeamDecoder,
 )
 from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.scenario.topology import TopologyBounds
@@ -164,8 +165,8 @@ def test_coevolve_trace_shape_and_episode_accounting():
         assert red_rec.episodes_used == blue_rec.episodes_used == per_iteration
         assert red_rec.algorithm == blue_rec.algorithm == "ES-C"
     assert result.episodes_total == per_iteration * SMALL_EVO.iterations
-    assert len(result.best_red_per_trial) == len(result.best_blue_per_trial) == 1
-    assert isinstance(result, CoevolutionResult)
+    assert len(result.best_per_trial["red"]) == len(result.best_per_trial["blue"]) == 1
+    assert isinstance(result, EvolutionResult)
     assert result.best("red").fitness is not None
     assert result.best("blue").fitness is not None
     assert result.llm_report is None
@@ -189,3 +190,16 @@ def test_coevolve_is_reproducible():
         ).trace.records
 
     assert run() == run()
+
+
+def test_coevolve_rejects_an_llm_client_with_many_controllers():
+    # LLM mutation edits one shared program, so "many" would silently
+    # collapse to one controller after the first edit.
+    with pytest.raises(ValueError):
+        coevolve(
+            RuleTeamDecoder("red", mode="many"), RuleTeamDecoder("blue", mode="many"),
+            TINY,
+            EvoConfig(population_size=2, iterations=1, trials=1,
+                      controllers_per_team="many"),
+            master_seed=1, label="GE-LLM-C", llm_client=object(),
+        )

@@ -19,7 +19,6 @@ from cyberevo.evolution import (
     Individual,
     MatrixTeamDecoder,
     RuleTeamDecoder,
-    _EvalState,
     episode_seeds,
     evaluate_team,
     evolve_one_sided,
@@ -244,15 +243,6 @@ def test_evaluate_team_averages_episode_totals_per_side():
     assert evaluate_team(red, blue, "red", TINY, seeds) == pytest.approx(-got)
 
 
-def test_eval_state_penalty_tracks_the_worst_seen():
-    state = _EvalState()
-    assert state.penalty() == -INVALID_PENALTY
-    state.record(-42.0)
-    state.record(-7.0)
-    assert state.worst_seen == -42.0
-    assert state.penalty() == -42.0 - INVALID_PENALTY
-
-
 # ---------------------------------------------------------------------------
 # whole runs
 
@@ -279,8 +269,11 @@ def test_small_es_run_shape_and_monotonicity():
         for later in used[1:]:
             assert later <= (SMALL_EVO.population_size - 1) * SMALL_EVO.repetitions
     assert result.episodes_total == sum(r.episodes_used for r in records)
-    assert len(result.best_per_trial) == SMALL_EVO.trials
-    assert result.best.fitness == max(i.fitness for i in result.best_per_trial)
+    assert list(result.best_per_trial) == ["blue"]
+    assert len(result.best_per_trial["blue"]) == SMALL_EVO.trials
+    assert result.best("blue").fitness == max(
+        i.fitness for i in result.best_per_trial["blue"]
+    )
     assert result.llm_report is None
 
 
@@ -304,6 +297,50 @@ def test_all_invalid_population_scores_the_flat_penalty():
         assert record.mean == -INVALID_PENALTY
         assert record.episodes_used == 0  # invalid teams never reach the simulator
     assert result.episodes_total == 0
+
+
+class ValidThenInvalid:
+    """Decodes its first `valid_decodes` genomes to a sleeping blue team,
+    every later one as invalid."""
+
+    genome_length = 4
+
+    def __init__(self, valid_decodes):
+        self.remaining = valid_decodes
+
+    def random_genome(self, rng):
+        return rng.random(4)
+
+    def decode(self, genome):
+        self.remaining -= 1
+        if self.remaining >= 0:
+            return DecodeOutcome(team=[SleepController("blue")], valid=True)
+        return DecodeOutcome(team=None, valid=False)
+
+    def mutate(self, genome, rng, config):
+        return genome.copy()
+
+
+def test_invalid_penalty_tracks_the_worst_fitness_seen_across_trials():
+    evo = EvoConfig(population_size=2, iterations=1, trials=2, repetitions=1,
+                    invalid_retry_cap=0)
+    adversary = [load_fsm_adversary("red")]
+    result = evolve_one_sided(
+        "blue", ValidThenInvalid(evo.population_size), adversary,
+        TINY, evo, master_seed=8, label="GE-B",
+    )
+    trial_0, trial_1 = result.trace.records
+    scored = [
+        evaluate_team([SleepController("blue")], adversary, "blue", TINY,
+                      episode_seeds(8, 0, 0, index, 0, 1))
+        for index in range(evo.population_size)
+    ]
+    assert min(scored) < 0.0  # the penalty has a nonzero anchor to carry
+    assert scored[-1] > min(scored)  # the worst is not merely the last seen
+    assert (trial_0.best, trial_0.mean) == (max(scored), float(np.mean(scored)))
+    # trial 1 is all invalid: scored against trial 0's worst, not reset to 0
+    assert trial_1.best == trial_1.mean == min(scored) - INVALID_PENALTY
+    assert trial_1.episodes_used == 0
 
 
 class AlwaysFaults:
