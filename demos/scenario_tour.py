@@ -15,6 +15,7 @@ from cyberevo.episodes import controller_for, resolve_heuristic_target
 from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.scenario.engine import ScenarioSim
 from cyberevo.scenario.rewards import phase_of
+from cyberevo.scenario.topology import ZONES
 from cyberevo.seeds import STREAM_CONTROLLER, spawn_generator
 
 SEED = 11
@@ -24,7 +25,7 @@ NARRATED_STEPS = 12
 def describe_topology(sim: ScenarioSim) -> None:
     topology = sim.topology
     print(f"Generated network (seed {SEED}):")
-    for zone in topology.zones:
+    for zone in ZONES:
         hosts = topology.hosts_by_zone[zone]
         servers = [h for h in hosts if topology.hosts[h].server]
         users = [h for h in hosts if not topology.hosts[h].server]
@@ -77,7 +78,7 @@ def main() -> None:
             print(f"          {moves}")
             tally: defaultdict[tuple[str, str], int] = defaultdict(int)
             for event in result.events:
-                tally[(event.kind, event.zone)] += event.count
+                tally[(event.kind, event.zone)] += 1
             for (kind, zone), count in sorted(tally.items()):
                 print(f"          event: {kind} x{count} in {zone}")
 

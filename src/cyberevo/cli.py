@@ -100,7 +100,7 @@ def _run(args) -> int:
     for attr in ("iterations", "trials", "population_size", "repetitions"):
         value = getattr(settings, attr)
         if value is not None:
-            evo_kwargs[attr if attr != "population_size" else "population_size"] = value
+            evo_kwargs[attr] = value
     evo = EvoConfig(**evo_kwargs)
     scenario = _scenario_for(settings.steps)
 
@@ -143,10 +143,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {"run": _run, "summarize": _summarize, "list-experiments": _list}
     try:
         return handlers[args.command](args)
-    except CyberevoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CyberevoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,13 +22,7 @@ from .matrix import (
     team_genome_length,
     team_size,
 )
-from .rules import (
-    OBSERVATION_FUNCTIONS,
-    RuleController,
-    eval_rules,
-    observation_fn,
-    resolve_target,
-)
+from .rules import OBSERVATION_FUNCTIONS, RuleController, resolve_target
 
 __all__ = [
     "BLUE_TEAM_SIZE",
@@ -47,11 +41,9 @@ __all__ = [
     "classify_counters",
     "classify_state",
     "decode_matrix_team",
-    "eval_rules",
     "load_fsm_adversary",
     "matrix_actions",
     "normalize_row",
-    "observation_fn",
     "resolve_target",
     "state_priority",
     "state_thresholds",

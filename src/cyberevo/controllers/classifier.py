@@ -15,7 +15,6 @@ from importlib import resources
 
 from ..errors import ControllerError
 from ..scenario.engine import AgentContext
-from ..scenario.observations import Observation
 
 
 @lru_cache(maxsize=None)
@@ -52,6 +51,6 @@ def classify_counters(side: str, counters: dict[str, int]) -> str:
     return chosen
 
 
-def classify_state(side: str, observation: Observation, context: AgentContext) -> str:
+def classify_state(side: str, context: AgentContext) -> str:
     """Classify an agent's situation into exactly one controller state."""
     return classify_counters(side, context.counters)

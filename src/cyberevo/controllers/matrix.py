@@ -117,7 +117,7 @@ class MatrixController:
         return self.actions[min(idx, len(self.actions) - 1)]
 
     def decide(self, observation, context, rng) -> tuple[str, str]:
-        state = classify_state(self.side, observation, context)
+        state = classify_state(self.side, context)
         return self.sample(state, rng), self.default_heuristic
 
 

@@ -10,7 +10,7 @@ controller's default heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,26 +33,11 @@ from .base import FIRST_TARGET, LAST_TARGET, RANDOM_TARGET, TARGET_HEURISTICS
 DEFAULT_ACTION = "Sleep"
 
 
-def _sum_field(observation: Observation, name: str) -> int:
-    return sum(getattr(host, name) for host in observation.hosts.values())
-
-
-OBSERVATION_FUNCTIONS: dict[str, Callable[[Observation, str], int]] = {
-    "connections": lambda obs, agent: _sum_field(obs, "interfaces"),
-    "files_user": lambda obs, agent: _sum_field(obs, "files_user"),
-    "files_root": lambda obs, agent: _sum_field(obs, "files_root"),
-    "n_servers": lambda obs, agent: _sum_field(obs, "server"),
-    "root_access_levels": lambda obs, agent: _sum_field(obs, "root"),
-}
-
-
-def observation_fn(name: str, observation: Observation, agent_name: str = "") -> int:
-    """Evaluate a named observation function to a nonnegative count."""
-    try:
-        fn = OBSERVATION_FUNCTIONS[name]
-    except KeyError as exc:
-        raise ControllerError(f"unknown observation function {name!r}") from exc
-    return fn(observation, agent_name)
+# The grammars' observation functions; each reads the Observation field
+# of the same name.
+OBSERVATION_FUNCTIONS = (
+    "connections", "files_user", "files_root", "n_servers", "root_access_levels",
+)
 
 
 def resolve_target(
@@ -74,10 +59,10 @@ def resolve_target(
     return hosts[int(rng.integers(0, len(hosts)))]
 
 
-def _eval_operator(op, observation: Observation, agent_name: str) -> bool:
+def _eval_operator(op, observation: Observation) -> bool:
     if isinstance(op, SuccessTest):
         return observation.success == op.literal
-    value = observation_fn(op.fn, observation, agent_name)
+    value = getattr(observation, op.fn)
     if op.op == ">":
         return value > op.constant
     if op.op == "<":
@@ -85,13 +70,13 @@ def _eval_operator(op, observation: Observation, agent_name: str) -> bool:
     return value == op.constant
 
 
-def _eval_condition(cond: Condition, observation: Observation, agent_name: str) -> bool:
-    left = _eval_operator(cond.left, observation, agent_name)
+def _eval_condition(cond: Condition, observation: Observation) -> bool:
+    left = _eval_operator(cond.left, observation)
     if cond.kind == "single":
         return left
     if cond.kind == "and":
-        return left and _eval_operator(cond.right, observation, agent_name)
-    return left or _eval_operator(cond.right, observation, agent_name)
+        return left and _eval_operator(cond.right, observation)
+    return left or _eval_operator(cond.right, observation)
 
 
 def _validate_statements(
@@ -143,15 +128,14 @@ class RuleController:
     def decide(
         self, observation: Observation, context, rng: np.random.Generator
     ) -> tuple[str, str]:
-        agent_name = getattr(context, "name", "") if context is not None else ""
         action = DEFAULT_ACTION
         heuristic = self.default_heuristic
-        for statement in _walk_fired(self.ast.action_statements, observation, agent_name):
+        for statement in _walk_fired(self.ast.action_statements, observation):
             if isinstance(statement, ActionAssign):
                 action = statement.action
             elif isinstance(statement, TargetAssign):
                 heuristic = statement.heuristic
-        for statement in _walk_fired(self.ast.target_statements, observation, agent_name):
+        for statement in _walk_fired(self.ast.target_statements, observation):
             if isinstance(statement, TargetAssign):
                 heuristic = statement.heuristic
             elif isinstance(statement, ActionAssign):
@@ -159,35 +143,15 @@ class RuleController:
         return action, heuristic
 
 
-def _walk_fired(
-    statements: Sequence[Statement], observation: Observation, agent_name: str
-):
+def _walk_fired(statements: Sequence[Statement], observation: Observation):
     """Yield executed leaf assignments in program order."""
     for statement in statements:
         node = statement
         while isinstance(node, IfStatement):
-            if not _eval_condition(node.condition, observation, agent_name):
+            if not _eval_condition(node.condition, observation):
                 node = None
                 break
             node = node.body
         if node is not None:
             yield node
 
-
-def eval_rules(
-    controller: RuleController,
-    observation: Observation,
-    agent_name: str,
-    known_hosts: Sequence[str],
-    rng: np.random.Generator,
-) -> tuple[str, Optional[str]]:
-    """Run one decision and resolve the heuristic against a host list."""
-    action, heuristic = controller.decide(
-        observation, _NamedContext(agent_name), rng
-    )
-    return action, resolve_target(heuristic, known_hosts, rng)
-
-
-@dataclass(frozen=True)
-class _NamedContext:
-    name: str

@@ -10,7 +10,7 @@ from .actions import (
 )
 from .config import ScenarioConfig
 from .engine import AgentContext, ScenarioSim, StepResult
-from .observations import FALSE, TRUE, UNKNOWN, HostObservation, Observation
+from .observations import FALSE, TRUE, UNKNOWN, Observation
 from .rewards import (
     EVENT_KINDS,
     REWARD_ZONES,
@@ -28,7 +28,6 @@ __all__ = [
     "EVENT_KINDS",
     "FALSE",
     "GREEN_ACTIONS",
-    "HostObservation",
     "Observation",
     "RED_ACTIONS",
     "REWARD_ZONES",

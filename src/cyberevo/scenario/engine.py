@@ -22,7 +22,7 @@ from ..errors import SimulationFault
 from ..seeds import STREAM_TOPOLOGY, derive_seed, spawn_generator
 from . import actions as act
 from .config import ScenarioConfig
-from .observations import FALSE, TRUE, UNKNOWN, EMPTY_HOST, HostObservation, Observation
+from .observations import FALSE, TRUE, UNKNOWN, Observation
 from .rewards import (
     ACCESS_SERVICE_FAILS,
     LOCAL_WORK_FAILS,
@@ -56,7 +56,7 @@ class HostRuntime:
     __slots__ = (
         "degraded", "decoy", "restoring", "red_level",
         "flagged_step", "confirmed_step",
-        "files_user_evidence", "files_root_evidence", "sessions_evidence",
+        "files_user_evidence", "files_root_evidence",
     )
 
     def __init__(self):
@@ -68,14 +68,12 @@ class HostRuntime:
         self.confirmed_step: int | None = None
         self.files_user_evidence = 0
         self.files_root_evidence = 0
-        self.sessions_evidence = 0
 
     def clear_evidence(self):
         self.flagged_step = None
         self.confirmed_step = None
         self.files_user_evidence = 0
         self.files_root_evidence = 0
-        self.sessions_evidence = 0
 
 
 class RedAgent:
@@ -173,10 +171,7 @@ class ScenarioSim:
         self._green_hosts = [h for h in self.topology.hosts if not self.topology.hosts[h].server]
         self._service_hosts = list(self.topology.hosts)
         self._service_cumsum = np.cumsum([self.topology.hosts[h].services for h in self._service_hosts])
-        self._static_blue_hosts = {
-            h: (HostObservation(server=1) if self.topology.hosts[h].server else EMPTY_HOST)
-            for h in self.topology.hosts
-        }
+        self._n_servers = sum(1 for h in self.topology.hosts.values() if h.server)
         self._spawn_initial_agents()
 
     # ------------------------------------------------------------------
@@ -349,9 +344,6 @@ class ScenarioSim:
         if host.red_level >= USER_LEVEL:
             host.files_user_evidence = 1
             host.files_root_evidence = 1 if host.red_level == ROOT_LEVEL else 0
-            host.sessions_evidence = sum(
-                1 for a in self.red_agents if a is not None and target in a.sessions
-            )
             host.confirmed_step = self.step_index
         else:
             host.clear_evidence()
@@ -617,71 +609,40 @@ class ScenarioSim:
     def _record_detection(self, host_id: str, kind: str):
         self._detections.append((host_id, kind))
         zone = self.topology.hosts[host_id].zone
-        if kind == DETECT_DECOY or self._zone_monitored(zone):
+        if kind == DETECT_DECOY or self._zone_monitored(zone, self.step_index):
             self.hosts[host_id].flagged_step = self.step_index
 
-    def _zone_monitored(self, zone: str) -> bool:
+    def _zone_monitored(self, zone: str, step: int) -> bool:
         for agent in self.blue_agents.values():
             if zone in agent.zones:
-                return agent.monitor_step == self.step_index
+                return agent.monitor_step == step
         return False
 
     # ------------------------------------------------------------------
     # observations and contexts
 
     def _build_observations(self) -> dict[str, Observation]:
-        blue_hosts = dict(self._static_blue_hosts)
         last = self._last_applied_step
-        per_host_detections: dict[str, list[str]] = {}
-        for host_id, kind in self._detections:
-            zone = self.topology.hosts[host_id].zone
-            if kind == DETECT_DECOY or self._zone_monitored_at(zone, last):
-                per_host_detections.setdefault(host_id, []).append(kind)
-        touched = set(per_host_detections)
-        for host_id, runtime in self.hosts.items():
-            if runtime.files_user_evidence or runtime.sessions_evidence:
-                touched.add(host_id)
-        for host_id in sorted(touched):
-            runtime = self.hosts[host_id]
-            kinds = per_host_detections.get(host_id, ())
-            blue_hosts[host_id] = HostObservation(
-                interfaces=sum(1 for k in kinds if k == DETECT_SCAN),
-                sessions=runtime.sessions_evidence,
-                users=0,
-                files_user=runtime.files_user_evidence,
-                files_root=runtime.files_root_evidence,
-                processes=sum(1 for k in kinds if k != DETECT_SCAN),
-                server=1 if self.topology.hosts[host_id].server else 0,
-                root=0,
-            )
-        observations: dict[str, Observation] = {}
-        for name, agent in self.blue_agents.items():
-            failures = sum(self._zone_failures.get(z, 0) for z in agent.zones)
-            observations[name] = Observation(agent.last_success, blue_hosts, failures)
+        scans = sum(
+            1 for host_id, kind in self._detections
+            if kind == DETECT_SCAN and self._zone_monitored(self.topology.hosts[host_id].zone, last)
+        )
+        files_user = sum(h.files_user_evidence for h in self.hosts.values())
+        files_root = sum(h.files_root_evidence for h in self.hosts.values())
+        observations = {
+            name: Observation(agent.last_success, scans, files_user, files_root, self._n_servers)
+            for name, agent in self.blue_agents.items()
+        }
         for red in self.red_agents:
             if red is None:
                 continue
-            hosts = {}
-            for host_id in red.known:
-                level = red.sessions.get(host_id, 0)
-                hosts[host_id] = HostObservation(
-                    interfaces=1,
-                    sessions=1 if level else 0,
-                    users=1 if level == USER_LEVEL else 0,
-                    files_user=1 if level >= USER_LEVEL else 0,
-                    files_root=1 if level == ROOT_LEVEL else 0,
-                    processes=self.topology.hosts[host_id].services if host_id in red.scanned else 0,
-                    server=1 if self.topology.hosts[host_id].server else 0,
-                    root=1 if level == ROOT_LEVEL else 0,
-                )
-            observations[red.name] = Observation(red.last_success, hosts, 0)
+            # Sessions are always on known hosts, so they count directly.
+            roots = sum(1 for level in red.sessions.values() if level == ROOT_LEVEL)
+            servers = sum(1 for h in red.known if self.topology.hosts[h].server)
+            observations[red.name] = Observation(
+                red.last_success, len(red.known), len(red.sessions), roots, servers, roots
+            )
         return observations
-
-    def _zone_monitored_at(self, zone: str, step: int) -> bool:
-        for agent in self.blue_agents.values():
-            if zone in agent.zones:
-                return agent.monitor_step == step
-        return False
 
     def initial_observations(self) -> dict[str, Observation]:
         return self._build_observations()

@@ -1,13 +1,14 @@
 """Per-agent observation records.
 
-Observations are flat integer counters per host plus a success flag for
-the agent's most recently completed action.  Red agents only see hosts
-they have discovered; blue observations cover every host in the network.
+An observation holds exactly what a rule program reads: the success flag
+of the agent's last completed action and the five counts named by the
+grammars' observation functions.  The engine computes each count once
+per step; a program's condition reads the field of the same name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 TRUE = "TRUE"
 FALSE = "FALSE"
@@ -16,31 +17,25 @@ SUCCESS_VALUES = (TRUE, FALSE, UNKNOWN)
 
 
 @dataclass(frozen=True, slots=True)
-class HostObservation:
-    """Counters an agent holds about one host."""
-
-    interfaces: int = 0
-    sessions: int = 0
-    users: int = 0
-    files_user: int = 0
-    files_root: int = 0
-    processes: int = 0
-    server: int = 0
-    root: int = 0
-
-
-EMPTY_HOST = HostObservation()
-
-
-@dataclass(slots=True)
 class Observation:
     """What one agent sees after a step.
 
-    ``hosts`` may be shared between agents of the same team; treat it as
-    read-only.  ``green_failures`` counts green failure events inside
-    the observing agent's own zones this step.
+    A red agent counts its known hosts (``connections``), its sessions
+    (``files_user``), its root sessions (``files_root`` and
+    ``root_access_levels``) and its known servers (``n_servers``).
+
+    All blue agents share one view: scans detected this step in a
+    monitored zone (``connections``), the evidence Analyse found
+    (``files_user``, ``files_root``), the topology's server count
+    (``n_servers``, fixed for the episode, and above every grammar
+    constant) and a ``root_access_levels`` that is always 0.  The
+    baseline, TR, TN, TO and TC grammars offer only those last two, so
+    their blue programs can branch only on the success flag.
     """
 
     success: str = UNKNOWN
-    hosts: dict[str, HostObservation] = field(default_factory=dict)
-    green_failures: int = 0
+    connections: int = 0
+    files_user: int = 0
+    files_root: int = 0
+    n_servers: int = 0
+    root_access_levels: int = 0

@@ -40,7 +40,6 @@ class StepEvent:
 
     zone: str
     kind: str
-    count: int = 1
 
 
 def phase_of(step: int, boundaries: tuple[int, int], total_steps: int) -> str:
@@ -102,7 +101,5 @@ def reward_for(events: list[StepEvent], phase: str, table: RewardTable) -> tuple
     """Score one step's events.  Returns (blue_reward, red_reward)."""
     blue = 0.0
     for event in events:
-        if event.count < 0:
-            raise ScenarioConfigError(f"negative event count in {event}")
-        blue += event.count * table.lookup(phase, event.zone, event.kind)
+        blue += table.lookup(phase, event.zone, event.kind)
     return blue, -blue

@@ -79,10 +79,6 @@ class Topology:
             by_zone[host.zone].append(host.id)
         self.hosts_by_zone = by_zone
 
-    @property
-    def zones(self) -> tuple[str, ...]:
-        return ZONES
-
     def reward_zone(self, zone: str) -> str:
         return REWARD_ZONE_OF[zone]
 

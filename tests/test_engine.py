@@ -26,7 +26,7 @@ from cyberevo.scenario.rewards import (
     RED_IMPACT_ACCESS,
     StepEvent,
 )
-from cyberevo.scenario.topology import HOST_ZONES, INTERNET, TopologyBounds
+from cyberevo.scenario.topology import HOST_ZONES, INTERNET, ZONES, TopologyBounds
 
 SMALL_BOUNDS = TopologyBounds(servers=(1, 2), user_hosts=(3, 4), services=(1, 2))
 
@@ -333,12 +333,10 @@ def test_deploy_decoy_once_then_red_trips_it():
     assert red.last_success == TRUE
     assert target in red.decoys_known
     step_with(sim, {"red_0": ("ExploitRemoteService", target)})
-    result = sleep_step(sim)
+    sleep_step(sim)
     assert red.last_success == FALSE  # the decoy absorbed the exploit
     assert target not in red.sessions
     assert sim.hosts[target].flagged_step is not None  # decoy trips always flag
-    host_view = result.observations["blue_restricted_a"].hosts[target]
-    assert host_view.processes >= 1
 
 
 def test_decoy_outside_own_zones_is_refused():
@@ -361,7 +359,7 @@ def test_monitor_gates_scan_detections():
         "blue_restricted_a": ("Monitor", None),
     })
     assert sim.hosts[target].flagged_step is not None
-    assert result.observations["blue_restricted_a"].hosts[target].interfaces == 1
+    assert result.observations["blue_restricted_a"].connections == 1
     context = sim.agent_context("blue_restricted_a")
     assert context.counters["zone_suspicious"] == 1
     assert context.counters["flagged_suspicious"] == 1
@@ -370,7 +368,7 @@ def test_monitor_gates_scan_detections():
     step_with(sim, {"red_0": ("DiscoverRemoteSystems", target_zone)})
     result = step_with(sim, {"red_0": ("AggressiveServiceDiscovery", target)})
     assert sim.hosts[target].flagged_step is None  # nobody was watching
-    assert result.observations["blue_restricted_a"].hosts[target].interfaces == 0
+    assert result.observations["blue_restricted_a"].connections == 0
     assert sim.agent_context("blue_restricted_a").counters["zone_suspicious"] == 0
 
 
@@ -379,12 +377,14 @@ def test_analyse_confirms_compromise_and_clean_hosts():
     zone_hosts = sim.topology.hosts_by_zone["restricted_zone_a"]
     victim = zone_hosts[0]
     plant_red(sim, 1, "restricted_zone_a", victim)
-    step_with(sim, {"blue_restricted_a": ("Analyse", victim)})
+    result = step_with(sim, {"blue_restricted_a": ("Analyse", victim)})
     runtime = sim.hosts[victim]
     assert runtime.files_user_evidence == 1
     assert runtime.files_root_evidence == 0
-    assert runtime.sessions_evidence == 1
     assert runtime.confirmed_step is not None
+    for name in sim.blue_agents:  # evidence is visible to the whole team
+        assert result.observations[name].files_user == 1
+        assert result.observations[name].files_root == 0
     context = sim.agent_context("blue_restricted_a")
     assert context.counters["confirmed_compromised"] == 1
 
@@ -525,11 +525,13 @@ def test_red_sees_only_known_hosts():
     sim = ScenarioSim(quiet_config(), seed=29)
     red = anchor(sim)
     obs = sleep_step(sim).observations["red_0"]
-    assert set(obs.hosts) == set(red.known)
+    assert obs.connections == len(red.known) == 1
+    assert obs.n_servers == int(sim.topology.hosts[red.entry_host].server)
     step_with(sim, {"red_0": ("DiscoverRemoteSystems", "contractor_uav")})
     obs = sleep_step(sim).observations["red_0"]
-    assert set(obs.hosts) == set(red.known)
-    assert len(obs.hosts) > 1
+    assert obs.connections == len(red.known) > 1
+    assert obs.n_servers == len(sim.topology.servers_in("contractor_uav"))
+    assert obs.n_servers < sum(1 for h in sim.topology.hosts.values() if h.server)
 
 
 def test_red_observation_reflects_scans_and_privilege():
@@ -538,22 +540,24 @@ def test_red_observation_reflects_scans_and_privilege():
     entry = red.entry_host
     step_with(sim, {"red_0": ("AggressiveServiceDiscovery", entry)})
     obs = sim._build_observations()["red_0"]
-    assert obs.hosts[entry].processes == sim.topology.hosts[entry].services
-    assert obs.hosts[entry].users == 1
-    assert obs.hosts[entry].root == 0
+    assert red.last_success == TRUE
+    assert (obs.connections, obs.files_user) == (1, 1)
+    assert (obs.files_root, obs.root_access_levels) == (0, 0)
     red.sessions[entry] = ROOT_LEVEL
     obs = sim._build_observations()["red_0"]
-    assert obs.hosts[entry].root == 1
-    assert obs.hosts[entry].files_root == 1
-    assert obs.hosts[entry].users == 0
+    assert (obs.connections, obs.files_user) == (1, 1)
+    assert (obs.files_root, obs.root_access_levels) == (1, 1)
 
 
 def test_blue_observation_covers_every_host():
     sim = ScenarioSim(quiet_config(), seed=31)
-    obs = sleep_step(sim).observations["blue_hq"]
-    assert set(obs.hosts) == set(sim.topology.hosts)
-    for host_id, view in obs.hosts.items():
-        assert view.server == (1 if sim.topology.hosts[host_id].server else 0)
+    observations = sleep_step(sim).observations
+    n_servers = sum(1 for h in sim.topology.hosts.values() if h.server)
+    for name in sim.blue_agents:
+        obs = observations[name]
+        assert obs.n_servers == n_servers
+        assert (obs.connections, obs.files_user, obs.files_root) == (0, 0, 0)
+        assert obs.root_access_levels == 0
 
 
 def test_blue_green_failures_counter_is_zone_local():
@@ -563,10 +567,9 @@ def test_blue_green_failures_counter_is_zone_local():
         if sim.topology.hosts[h].zone == "operational_zone_a"
     )
     sim.hosts[victim].degraded = True
-    result = sleep_step(sim)
-    assert result.observations["blue_operational_a"].green_failures == 1
-    assert result.observations["blue_restricted_b"].green_failures == 0
+    sleep_step(sim)
     assert sim.agent_context("blue_operational_a").counters["zone_failures"] == 1
+    assert sim.agent_context("blue_restricted_b").counters["zone_failures"] == 0
 
 
 def test_red_context_partitions_known_hosts_by_session_level():
@@ -595,7 +598,7 @@ def test_blue_context_orders_flagged_hosts_by_first_flag():
     sim.hosts[late].flagged_step = 5
     context = sim.agent_context("blue_restricted_a")
     assert context.known_hosts == [early, late]
-    assert context.candidate_zones == [z for z in sim.topology.zones if z not in agent.zones]
+    assert context.candidate_zones == [z for z in ZONES if z not in agent.zones]
 
 
 def test_success_flag_starts_unknown():

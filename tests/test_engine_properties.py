@@ -1,0 +1,144 @@
+"""Per-step engine invariants under random legal controllers.
+
+Hypothesis draws an episode seed and the scenario's event
+probabilities; both teams pick uniformly among their legal actions and
+target heuristics.  After every step the network state, the
+observations and the rewards must agree with each other.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyberevo.controllers.base import TARGET_HEURISTICS
+from cyberevo.controllers.fsm import load_fsm_adversary
+from cyberevo.episodes import controller_for, resolve_heuristic_target
+from cyberevo.scenario.actions import BLUE_ACTIONS, RED_ACTIONS
+from cyberevo.scenario.config import ScenarioConfig
+from cyberevo.scenario.engine import NO_COMPROMISE, ROOT_LEVEL, ScenarioSim
+from cyberevo.seeds import STREAM_CONTROLLER, spawn_generator
+
+STEPS = 30
+
+
+class RandomLegalController:
+    """Uniform over the side's legal actions and the target heuristics."""
+
+    def __init__(self, side: str):
+        self.actions = BLUE_ACTIONS if side == "blue" else RED_ACTIONS
+
+    def decide(self, observation, context, rng):
+        action = self.actions[int(rng.integers(len(self.actions)))]
+        heuristic = TARGET_HEURISTICS[int(rng.integers(len(TARGET_HEURISTICS)))]
+        return action, heuristic
+
+
+def play(sim: ScenarioSim, blue_team, red_team, seed: int, check) -> None:
+    """Run ``sim`` to its end, calling ``check(sim, result)`` after each step."""
+    rng = spawn_generator(seed, STREAM_CONTROLLER)
+    observations = sim.initial_observations()
+    for _ in range(sim.config.steps):
+        submissions = {}
+        for name in sim.idle_agent_names():
+            team = blue_team if sim.side_of(name) == "blue" else red_team
+            context = sim.agent_context(name)
+            action, heuristic = controller_for(team, name).decide(
+                observations[name], context, rng
+            )
+            submissions[name] = (
+                action, resolve_heuristic_target(action, heuristic, context, rng)
+            )
+        result = sim.step(submissions)
+        check(sim, result)
+        observations = result.observations
+
+
+def check_invariants(sim: ScenarioSim, result) -> None:
+    active = [red for red in sim.red_agents if red is not None]
+    levels = {host_id: NO_COMPROMISE for host_id in sim.hosts}
+    for red in active:
+        assert set(red.known) == red.known_set
+        assert set(red.sessions) <= red.known_set
+        assert red.anchor or red.sessions, f"{red.name} is active without a session"
+        for host_id, level in red.sessions.items():
+            levels[host_id] = max(levels[host_id], level)
+        roots = sum(1 for level in red.sessions.values() if level == ROOT_LEVEL)
+        obs = result.observations[red.name]
+        assert obs.connections == len(red.known)
+        assert obs.files_user == len(red.sessions)
+        assert obs.files_root == obs.root_access_levels == roots
+    for host_id, runtime in sim.hosts.items():
+        assert runtime.red_level == levels[host_id], host_id
+    assert set(result.observations) == set(sim.agent_names())
+
+    restoring = {
+        agent.pending[1] for agent in sim.blue_agents.values()
+        if agent.pending is not None and agent.pending[0] == "Restore"
+    }
+    assert {h for h, runtime in sim.hosts.items() if runtime.restoring} == restoring
+
+    assert result.red_reward == -result.blue_reward
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    phishing_p=st.sampled_from([0.0, 0.02, 0.3]),
+    exploit_p=st.floats(0.0, 1.0),
+    escalate_p=st.floats(0.0, 1.0),
+    service_spawn_p=st.floats(0.0, 1.0),
+)
+def test_engine_invariants_hold_on_every_step(
+    seed, phishing_p, exploit_p, escalate_p, service_spawn_p
+):
+    config = ScenarioConfig(
+        steps=STEPS,
+        phase_boundaries=(10, 20),
+        phishing_p=phishing_p,
+        exploit_scanned_p=exploit_p,
+        exploit_unscanned_p=exploit_p,
+        escalate_p=escalate_p,
+        service_spawn_p=service_spawn_p,
+    )
+    sim = ScenarioSim(config, seed)
+    play(
+        sim,
+        [RandomLegalController("blue")],
+        [RandomLegalController("red")],
+        seed,
+        check_invariants,
+    )
+
+
+def test_blue_counts_that_baseline_programs_read_never_change():
+    """Blue's root_access_levels is always 0 and its n_servers is fixed.
+
+    ``n_servers`` also exceeds 2, the largest grammar constant, so every
+    comparison a baseline/TR/TN/TO/TC blue program makes on these two
+    counts has the same result all episode: only the success flag can
+    steer such a program.
+    """
+    seen = []
+
+    def record(sim, result):
+        for name in sim.blue_agents:
+            obs = result.observations[name]
+            seen.append((obs.n_servers, obs.root_access_levels))
+
+    config = ScenarioConfig()
+    for seed in (0, 1, 2):
+        sim = ScenarioSim(config, seed)
+        seen.clear()
+        play(
+            sim,
+            [load_fsm_adversary("blue")],
+            [load_fsm_adversary("red")],
+            seed,
+            record,
+        )
+        n_servers = sum(1 for host in sim.topology.hosts.values() if host.server)
+        assert len(seen) == config.steps * len(sim.blue_agents)
+        assert set(seen) == {(n_servers, 0)}
+        assert n_servers > 2

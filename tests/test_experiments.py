@@ -301,6 +301,22 @@ def test_cli_rejects_unknown_experiments(tmp_path, capsys):
     assert "unknown experiment" in err
 
 
+def test_cli_reports_rejected_settings_without_a_traceback(tmp_path, capsys):
+    code = main([
+        "run", "GA-B", "--population", "1", "--output-dir", str(tmp_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    spec = tmp_path / "llm-many.json"
+    spec.write_text(json.dumps(
+        {"experiment": "GE-LLM-C", "controllers_per_team": "many"}
+    ))
+    assert main(["run", str(spec), "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [spec]
+
+
 def test_cli_summarize(tmp_path, capsys):
     path = write_trace(tmp_path / "ES-B.csv", [
         (0, 0, "blue", "ES-B", -12.0, -20.0, 20),

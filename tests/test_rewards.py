@@ -146,25 +146,23 @@ def test_phase_of_rejects_bad_steps_and_boundaries():
 
 def test_reward_for_matches_recount_oracle():
     table = RewardTable.default()
-    events = [
-        StepEvent("Operational Zone A", LOCAL_WORK_FAILS, count=3),
-        StepEvent("HQ Network", RED_IMPACT_ACCESS),
-        StepEvent("Contractor Network", ACCESS_SERVICE_FAILS, count=2),
-        StepEvent("Internet", LOCAL_WORK_FAILS, count=5),
-    ]
+    # Repeated occurrences are repeated events, each charged in full.
+    events = (
+        3 * [StepEvent("Operational Zone A", LOCAL_WORK_FAILS)]
+        + [StepEvent("HQ Network", RED_IMPACT_ACCESS)]
+        + 2 * [StepEvent("Contractor Network", ACCESS_SERVICE_FAILS)]
+        + 5 * [StepEvent("Internet", LOCAL_WORK_FAILS)]
+    )
     for phase in PHASES:
-        expected = sum(
-            e.count * expected_value(phase, e.zone, e.kind) for e in events
+        expected = (
+            3 * expected_value(phase, "Operational Zone A", LOCAL_WORK_FAILS)
+            + expected_value(phase, "HQ Network", RED_IMPACT_ACCESS)
+            + 2 * expected_value(phase, "Contractor Network", ACCESS_SERVICE_FAILS)
+            + 5 * expected_value(phase, "Internet", LOCAL_WORK_FAILS)
         )
         blue, red = reward_for(events, phase, table)
         assert blue == expected
         assert red == -blue  # zero-sum by construction
-
-
-def test_reward_for_rejects_negative_counts():
-    table = RewardTable.default()
-    with pytest.raises(ScenarioConfigError):
-        reward_for([StepEvent("Internet", LOCAL_WORK_FAILS, count=-1)], PHASE1, table)
 
 
 def test_reward_for_empty_events_is_zero():

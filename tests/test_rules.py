@@ -12,13 +12,7 @@ from cyberevo.controllers.base import (
     FixedActionController,
     SleepController,
 )
-from cyberevo.controllers.rules import (
-    OBSERVATION_FUNCTIONS,
-    RuleController,
-    eval_rules,
-    observation_fn,
-    resolve_target,
-)
+from cyberevo.controllers.rules import OBSERVATION_FUNCTIONS, RuleController, resolve_target
 from cyberevo.errors import ControllerError
 from cyberevo.grammar.ast import (
     ActionAssign,
@@ -29,14 +23,14 @@ from cyberevo.grammar.ast import (
     SuccessTest,
     TargetAssign,
 )
-from cyberevo.scenario.observations import FALSE, TRUE, HostObservation, Observation
+from cyberevo.scenario.observations import FALSE, TRUE, Observation
 
 RNG = np.random.default_rng(0)
 
 
-def obs(success=TRUE, **host_fields) -> Observation:
-    """Single-host observation with the given counters."""
-    return Observation(success=success, hosts={"h0": HostObservation(**host_fields)})
+def obs(success=TRUE, **counts) -> Observation:
+    """Observation with the given success flag and counts."""
+    return Observation(success=success, **counts)
 
 
 def single(op) -> Condition:
@@ -47,23 +41,20 @@ def single(op) -> Condition:
 # observation functions
 
 
-def test_observation_functions_sum_counters_over_hosts():
-    observation = Observation(
-        hosts={
-            "a": HostObservation(interfaces=2, files_user=1, server=1, root=1),
-            "b": HostObservation(interfaces=1, files_root=3, root=1),
-        }
-    )
-    assert observation_fn("connections", observation) == 3
-    assert observation_fn("files_user", observation) == 1
-    assert observation_fn("files_root", observation) == 3
-    assert observation_fn("n_servers", observation) == 1
-    assert observation_fn("root_access_levels", observation) == 2
-    with pytest.raises(ControllerError):
-        observation_fn("barometer", observation)
+def test_each_observation_function_reads_its_field():
     assert set(OBSERVATION_FUNCTIONS) == {
         "connections", "files_user", "files_root", "n_servers", "root_access_levels",
     }
+    for name in OBSERVATION_FUNCTIONS:
+        ast = RuleAst(
+            action_statements=(
+                IfStatement(single(ObsTest(name, "=", 2)), ActionAssign("Impact")),
+            )
+        )
+        controller = RuleController(ast, "red")
+        others = {other: 1 for other in OBSERVATION_FUNCTIONS if other != name}
+        assert controller.decide(obs(**others, **{name: 2}), None, RNG)[0] == "Impact"
+        assert controller.decide(obs(**others, **{name: 1}), None, RNG)[0] == "Sleep"
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +68,7 @@ def test_defaults_apply_when_nothing_fires():
         )
     )
     controller = RuleController(ast, "red")
-    action, heuristic = controller.decide(obs(server=1), None, RNG)
+    action, heuristic = controller.decide(obs(n_servers=1), None, RNG)
     assert action == "Sleep"
     assert heuristic == RANDOM_TARGET
 
@@ -102,7 +93,7 @@ def test_comparison_operators():
         ("=", 2, True), ("=", 3, False),
     ]:
         constant = 2
-        observation = obs(server=value)
+        observation = obs(n_servers=value)
         ast = RuleAst(
             action_statements=(
                 IfStatement(
@@ -129,10 +120,10 @@ def test_and_or_connectives():
         )
     )
     cases = [
-        (obs(success=TRUE, server=1), True, True),
-        (obs(success=FALSE, server=1), False, True),
-        (obs(success=TRUE, server=0), False, True),
-        (obs(success=FALSE, server=0), False, False),
+        (obs(success=TRUE, n_servers=1), True, True),
+        (obs(success=FALSE, n_servers=1), False, True),
+        (obs(success=TRUE, n_servers=0), False, True),
+        (obs(success=FALSE, n_servers=0), False, False),
     ]
     for observation, and_fires, or_fires in cases:
         assert (RuleController(both, "red").decide(observation, None, RNG)[0]
@@ -153,9 +144,9 @@ def test_nested_ifs_require_every_condition():
         )
     )
     controller = RuleController(ast, "red")
-    assert controller.decide(obs(success=TRUE, server=1), None, RNG)[0] == "Impact"
-    assert controller.decide(obs(success=TRUE, server=0), None, RNG)[0] == "Sleep"
-    assert controller.decide(obs(success=FALSE, server=1), None, RNG)[0] == "Sleep"
+    assert controller.decide(obs(success=TRUE, n_servers=1), None, RNG)[0] == "Impact"
+    assert controller.decide(obs(success=TRUE, n_servers=0), None, RNG)[0] == "Sleep"
+    assert controller.decide(obs(success=FALSE, n_servers=1), None, RNG)[0] == "Sleep"
 
 
 def test_target_section_can_pick_heuristics_conditionally():
@@ -228,15 +219,6 @@ def test_resolve_target_heuristics():
     assert resolve_target(FIRST_TARGET, [], rng) is None
     with pytest.raises(ControllerError):
         resolve_target("middle_target", hosts, rng)
-
-
-def test_eval_rules_resolves_action_and_target_together():
-    ast = RuleAst(
-        action_statements=(ActionAssign("Impact"), TargetAssign(LAST_TARGET))
-    )
-    controller = RuleController(ast, "red")
-    action, target = eval_rules(controller, obs(), "red_0", ["a", "b"], RNG)
-    assert (action, target) == ("Impact", "b")
 
 
 # ---------------------------------------------------------------------------
