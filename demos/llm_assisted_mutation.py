@@ -14,7 +14,6 @@ from __future__ import annotations
 from cyberevo.controllers.fsm import load_fsm_adversary
 from cyberevo.evolution import EvoConfig, RuleTeamDecoder, evolve_one_sided, make_decoder
 from cyberevo.llm import (
-    DEFAULT_TEMPLATE,
     ExpandingMockClient,
     LlmStats,
     ScriptedClient,
@@ -36,7 +35,7 @@ SEED_PROGRAM = (
 
 def show_prompt() -> None:
     decoder = RuleTeamDecoder("blue")
-    prompt = build_prompt(DEFAULT_TEMPLATE, decoder.grammar, SEED_PROGRAM)
+    prompt = build_prompt(decoder.grammar, SEED_PROGRAM)
     print("The prompt sent for one mutation (truncated):\n")
     lines = prompt.splitlines()
     for line in lines[:6]:

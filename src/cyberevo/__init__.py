@@ -42,7 +42,6 @@ from .llm import (
     HttpClient,
     LlmStats,
     MutationOutcome,
-    PromptTemplate,
     ScriptedClient,
     build_prompt,
     llm_mutate,
@@ -74,7 +73,6 @@ __all__ = [
     "MatrixTeamDecoder",
     "MutationOutcome",
     "ProgramParseError",
-    "PromptTemplate",
     "RuleTeamDecoder",
     "RunSettings",
     "ScenarioConfig",

@@ -9,7 +9,7 @@ from .base import (
     FixedActionController,
     SleepController,
 )
-from .classifier import classify_counters, classify_state, state_priority, state_thresholds
+from .classifier import classify_counters, classify_state, state_priority
 from .fsm import load_fsm_adversary
 from .matrix import (
     BLUE_TEAM_SIZE,
@@ -46,7 +46,6 @@ __all__ = [
     "normalize_row",
     "resolve_target",
     "state_priority",
-    "state_thresholds",
     "team_genome_length",
     "team_size",
 ]

@@ -1,7 +1,8 @@
 """Counter-threshold state classification for matrix controllers.
 
 The truth table lives in ``data/state_classifier.json`` so the mapping
-from observation counters to states stays inspectable and editable.  A
+from counters to states stays inspectable and editable.  The counters
+come from the agent's decision context, not from its observation.  A
 state matches when every listed counter meets its threshold; the last
 matching state in priority order wins, which makes later, more severe
 states dominate earlier ones.
@@ -30,11 +31,6 @@ def state_priority(side: str) -> tuple[str, ...]:
     return tuple(tables[side]["priority"])
 
 
-def state_thresholds(side: str) -> dict[str, dict[str, int]]:
-    tables = _load_tables()
-    return {s: dict(t) for s, t in tables[side]["states"].items()}
-
-
 def classify_counters(side: str, counters: dict[str, int]) -> str:
     """Apply the truth table to raw counters."""
     tables = _load_tables()
@@ -53,4 +49,4 @@ def classify_counters(side: str, counters: dict[str, int]) -> str:
 
 def classify_state(side: str, context: AgentContext) -> str:
     """Classify an agent's situation into exactly one controller state."""
-    return classify_counters(side, context.counters)
+    return classify_counters(side, context.counters())

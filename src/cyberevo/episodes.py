@@ -3,8 +3,8 @@
 A team is a sequence of controllers indexed by agent slot.  A length-1
 team is broadcast: every agent of that side shares the single
 controller.  Target heuristics returned by controllers are resolved
-here — host-targeted actions draw from the agent's ordered known-host
-list, zone-targeted actions from its candidate zones.
+here, from the candidate list the agent's decision context gives for
+the chosen action.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .controllers.base import Controller
 from .controllers.rules import resolve_target
-from .scenario.actions import TARGET_KINDS, TARGET_HOST, TARGET_NONE, TARGET_ZONE
+from .scenario.actions import TARGET_KINDS, TARGET_NONE
 from .scenario.config import ScenarioConfig
 from .scenario.engine import BLUE_AGENT_ZONES, AgentContext, ScenarioSim
 from .seeds import STREAM_CONTROLLER, spawn_generator
@@ -40,18 +40,6 @@ def controller_for(team: Team, name: str) -> Controller:
     return team[agent_slot(name)]
 
 
-# Session-bound red actions draw their targets from the matching
-# session list rather than everything the agent knows about; exploits
-# aim at known hosts not yet owned. The chosen heuristic still picks
-# within the list, which stays in discovery order.
-_RED_CANDIDATES = {
-    "PrivilegeEscalate": "user_hosts",
-    "Impact": "root_hosts",
-    "DegradeServices": "root_hosts",
-    "ExploitRemoteService": "fresh_hosts",
-}
-
-
 def resolve_heuristic_target(
     action: str,
     heuristic: str,
@@ -59,16 +47,9 @@ def resolve_heuristic_target(
     rng: np.random.Generator,
 ) -> Optional[str]:
     """Turn a (action, heuristic) decision into a concrete target."""
-    kind = TARGET_KINDS[action]
-    if kind == TARGET_NONE:
+    if TARGET_KINDS[action] == TARGET_NONE:
         return None
-    if kind == TARGET_ZONE:
-        return resolve_target(heuristic, context.candidate_zones, rng)
-    assert kind == TARGET_HOST
-    source = _RED_CANDIDATES.get(action)
-    if source is not None and context.side == "red":
-        return resolve_target(heuristic, getattr(context, source), rng)
-    return resolve_target(heuristic, context.known_hosts, rng)
+    return resolve_target(heuristic, context.targets(action), rng)
 
 
 @dataclass(frozen=True)

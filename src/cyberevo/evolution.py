@@ -59,6 +59,9 @@ class EvoConfig:
     def __post_init__(self) -> None:
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
+        for name in ("iterations", "trials", "repetitions", "tournament_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.elite_count < 0 or self.elite_count >= self.population_size:
             raise ValueError("elite_count must be in [0, population_size)")
         if self.controllers_per_team not in ("one", "many"):

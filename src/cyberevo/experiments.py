@@ -98,10 +98,10 @@ def get_experiment(name: str) -> ExperimentSpec:
         raise ExperimentSpecError(f"unknown experiment {name!r}; known: {known}") from exc
 
 
-_SPEC_FILE_KEYS = {
-    "experiment", "master_seed", "iterations", "trials", "population_size",
-    "repetitions", "steps", "controllers_per_team", "variant", "llm",
+_SPEC_FILE_INTS = {
+    "master_seed", "iterations", "trials", "population_size", "repetitions", "steps",
 }
+_SPEC_FILE_KEYS = _SPEC_FILE_INTS | {"experiment", "controllers_per_team", "variant", "llm"}
 
 
 @dataclass
@@ -133,6 +133,11 @@ class RunSettings:
             raise ExperimentSpecError(f"{path}: unknown settings {sorted(unknown)}")
         if "experiment" not in raw:
             raise ExperimentSpecError(f"{path}: 'experiment' is required")
+        for key in _SPEC_FILE_INTS & set(raw):
+            if type(raw[key]) is not int:  # a bool is not a count
+                raise ExperimentSpecError(f"{path}: {key!r} must be an integer, got {raw[key]!r}")
+        if not isinstance(raw.get("llm", {}), dict):
+            raise ExperimentSpecError(f"{path}: 'llm' must be a JSON object")
         return cls(**raw)
 
 

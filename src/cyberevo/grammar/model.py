@@ -54,18 +54,6 @@ class Grammar:
         except KeyError as exc:
             raise GrammarParseError(f"no rule named {name!r}") from exc
 
-    def nonterminals(self) -> tuple[str, ...]:
-        return tuple(self.rules)
-
-    def terminals(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for productions in self.rules.values():
-            for production in productions:
-                for symbol in production:
-                    if isinstance(symbol, Terminal):
-                        seen.setdefault(symbol.value, None)
-        return tuple(seen)
-
     def choice_counts(self) -> dict[str, int]:
         return {name: len(p) for name, p in self.rules.items()}
 

@@ -33,44 +33,31 @@ GRAMMAR_HEADER = "The grammar:"
 PROGRAM_HEADER = "The current program:"
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Pieces of the mutation prompt surrounding grammar and code."""
-
-    persona: str = (
-        "You are improving the decision policy of an autonomous network "
-        "defense exercise agent. The policy is a small Python-like "
-        "program produced by a context-free grammar."
-    )
-    instructions: str = (
-        "Mutate the program above: change, add or remove a small number "
-        "of statements while keeping every line derivable from the "
-        "grammar. Reply with only the mutated program in a fenced code "
-        "block."
-    )
+PERSONA = (
+    "You are improving the decision policy of an autonomous network "
+    "defense exercise agent. The policy is a small Python-like "
+    "program produced by a context-free grammar."
+)
+INSTRUCTIONS = (
+    "Mutate the program above: change, add or remove a small number "
+    "of statements while keeping every line derivable from the "
+    "grammar. Reply with only the mutated program in a fenced code "
+    "block."
+)
 
 
-DEFAULT_TEMPLATE = PromptTemplate()
-
-
-def build_prompt(template: PromptTemplate, grammar: Grammar, program: str) -> str:
+def build_prompt(grammar: Grammar, program: str) -> str:
     """Assemble the mutation prompt: persona, grammar, code, instructions."""
     grammar_text = grammar.to_text().strip()
     program = program.strip()
-    sections = {
-        "persona": template.persona.strip(),
-        "instructions": template.instructions.strip(),
-        "grammar": grammar_text,
-        "program": program,
-    }
-    for name, text in sections.items():
+    for name, text in (("grammar", grammar_text), ("program", program)):
         if not text:
             raise ValueError(f"prompt section {name!r} is empty")
     return (
-        f"{sections['persona']}\n\n"
+        f"{PERSONA}\n\n"
         f"{GRAMMAR_HEADER}\n\n{grammar_text}\n\n"
         f"{PROGRAM_HEADER}\n\n```python\n{program}\n```\n\n"
-        f"{sections['instructions']}\n"
+        f"{INSTRUCTIONS}\n"
     )
 
 
@@ -252,10 +239,9 @@ def llm_mutate(
     grammar: Grammar,
     decoder,
     stats: LlmStats,
-    template: PromptTemplate = DEFAULT_TEMPLATE,
 ) -> MutationOutcome:
     """Ask the client for a mutated program and validate it via the grammar."""
-    prompt = build_prompt(template, grammar, program)
+    prompt = build_prompt(grammar, program)
     stats.calls += 1
     started = time.perf_counter()
     try:

@@ -1,9 +1,8 @@
-"""Scenario configuration with file round-trip support."""
+"""Scenario configuration."""
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 
 from ..errors import ScenarioConfigError
@@ -66,28 +65,3 @@ class ScenarioConfig:
         data["phase_boundaries"] = list(self.phase_boundaries)
         data["reward_table"] = self.reward_table.as_dict()
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        kwargs = dict(data)
-        if "bounds" in kwargs:
-            b = kwargs["bounds"]
-            kwargs["bounds"] = TopologyBounds(
-                servers=tuple(b["servers"]),
-                user_hosts=tuple(b["user_hosts"]),
-                services=tuple(b["services"]),
-            )
-        if "phase_boundaries" in kwargs:
-            kwargs["phase_boundaries"] = tuple(kwargs["phase_boundaries"])
-        if "reward_table" in kwargs:
-            kwargs["reward_table"] = RewardTable(kwargs["reward_table"])
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(kwargs) - known
-        if unknown:
-            raise ScenarioConfigError(f"unknown scenario config keys: {sorted(unknown)}")
-        return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ScenarioConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))

@@ -3,8 +3,14 @@
 One `ScenarioSim` owns the full network state and advances it one step
 at a time.  Controllers never touch the state directly: they receive an
 `Observation` plus an `AgentContext` and answer with an action name and
-a target.  Everything stochastic flows through the episode generator,
-so identical seeds replay identical trajectories.
+a target heuristic.  Everything stochastic flows through the episode
+generator, so identical seeds replay identical trajectories.
+
+Observations are built once per step, inside `step`.  The decision
+context computes nothing up front: a matrix controller's classifier asks
+it for counters, and the episode runner asks it for the candidate
+targets of the one action chosen, so a rule controller, which reads only
+its observation, never pays for counters.
 
 Step order is fixed for determinism: submissions are enqueued, pending
 actions tick down, blue completions apply before red completions, the
@@ -14,7 +20,7 @@ and observations are rebuilt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,23 +127,94 @@ class BlueAgent:
         self.analysed_clean_step = -1
 
 
-@dataclass
-class AgentContext:
-    """Decision context the episode runner hands to a controller."""
+# The session level a session-bound red action's targets must hold, in
+# known-host order; NO_COMPROMISE means a known host with no session.
+# Every other red host action draws from everything the agent knows.
+RED_TARGET_SESSIONS = {
+    "PrivilegeEscalate": USER_LEVEL,
+    "Impact": ROOT_LEVEL,
+    "DegradeServices": ROOT_LEVEL,
+    "ExploitRemoteService": NO_COMPROMISE,
+}
 
-    name: str
-    side: str
-    zones: tuple[str, ...]
-    known_hosts: list[str]
-    candidate_zones: list[str]
-    counters: dict[str, int] = field(default_factory=dict)
-    # Red-only action-shaped candidate lists, all in known-host order:
-    # hosts where the agent holds a user / root session, and known hosts
-    # it holds no session on. Session-bound actions draw targets from
-    # these instead of the full known list.
-    user_hosts: tuple[str, ...] = ()
-    root_hosts: tuple[str, ...] = ()
-    fresh_hosts: tuple[str, ...] = ()
+
+class AgentContext:
+    """One agent's decision context: a view over the simulation state.
+
+    Nothing is computed when the view is made.  `counters` gives the
+    classifier's counters and `targets` the candidate list of one
+    action; each reads the state when it is called.  The view answers
+    for the step it was made at: read it before the next `step()`, as
+    the episode runner does, because `step()` changes the state it reads
+    and the lists it returns.
+    """
+
+    __slots__ = ("sim", "agent", "side")
+
+    def __init__(self, sim: ScenarioSim, agent: RedAgent | BlueAgent):
+        self.sim = sim
+        self.agent = agent
+        self.side = act.RED if isinstance(agent, RedAgent) else act.BLUE
+
+    def counters(self) -> dict[str, int]:
+        """The counters the state classifier reads for this agent."""
+        sim, agent = self.sim, self.agent
+        last = sim._last_applied_step
+        if self.side == act.RED:
+            return {
+                "known_hosts": len(agent.known),
+                "discovery_events": 1 if agent.last_discovery_step == last else 0,
+                "services_discovered": len(agent.scanned),
+                "user_sessions": sum(
+                    1 for h, lvl in agent.sessions.items()
+                    if lvl == USER_LEVEL and not (h == agent.entry_host and agent.anchor)
+                ),
+                "root_sessions": sum(1 for lvl in agent.sessions.values() if lvl == ROOT_LEVEL),
+            }
+        zone_suspicious = 0
+        for host_id, kind in sim._detections:
+            if sim.topology.hosts[host_id].zone not in agent.zones:
+                continue
+            if kind == DETECT_DECOY or agent.monitor_step == last:
+                zone_suspicious += 1
+        hosts = [sim.hosts[h] for h in agent.zone_hosts]
+        return {
+            "zone_suspicious": zone_suspicious,
+            "zone_failures": sum(sim._zone_failures.get(z, 0) for z in agent.zones),
+            "flagged_suspicious": sum(
+                1 for h in hosts if h.flagged_step is not None and h.confirmed_step is None
+            ),
+            "confirmed_compromised": sum(1 for h in hosts if h.confirmed_step is not None),
+            "analysed_clean": 1 if agent.analysed_clean_step == last else 0,
+        }
+
+    def targets(self, action: str) -> list[str]:
+        """Ordered candidate targets for a host or zone action.
+
+        Red zone actions get the zones the agent's zone can reach, and
+        red host actions the known hosts, narrowed by
+        `RED_TARGET_SESSIONS`.  Blue zone actions get every zone outside
+        the agent's own; blue host actions get its zone hosts, flagged
+        ones only, by first flag, when any is flagged.
+        """
+        sim, agent = self.sim, self.agent
+        if act.TARGET_KINDS[action] == act.TARGET_ZONE:
+            if self.side == act.RED:
+                return [z for z in ZONES if sim.reachable(agent.zone, z)]
+            return [z for z in ZONES if z not in agent.zones]
+        if self.side == act.RED:
+            level = RED_TARGET_SESSIONS.get(action)
+            if level is None:
+                return agent.known
+            return [h for h in agent.known if agent.sessions.get(h, NO_COMPROMISE) == level]
+        flagged = []
+        for position, host_id in enumerate(agent.zone_hosts):
+            host = sim.hosts[host_id]
+            first = host.flagged_step if host.flagged_step is not None else host.confirmed_step
+            if first is not None:
+                flagged.append((first, position, host_id))
+        flagged.sort()
+        return [host_id for _, _, host_id in flagged] or agent.zone_hosts
 
 
 @dataclass
@@ -648,63 +725,8 @@ class ScenarioSim:
         return self._build_observations()
 
     def agent_context(self, name: str) -> AgentContext:
-        """Build the decision context for one agent at the current step."""
-        last = self._last_applied_step
-        agent = self._agent(name)
-        if isinstance(agent, RedAgent):
-            candidates = [z for z in ZONES if self.reachable(agent.zone, z)]
-            non_entry_users = sum(
-                1 for h, lvl in agent.sessions.items()
-                if lvl == USER_LEVEL and not (h == agent.entry_host and agent.anchor)
-            )
-            counters = {
-                "known_hosts": len(agent.known),
-                "discovery_events": 1 if agent.last_discovery_step == last else 0,
-                "services_discovered": len(agent.scanned),
-                "user_sessions": non_entry_users,
-                "root_sessions": sum(1 for lvl in agent.sessions.values() if lvl == ROOT_LEVEL),
-            }
-            return AgentContext(
-                name, act.RED, (agent.zone,), list(agent.known), candidates, counters,
-                user_hosts=tuple(
-                    h for h in agent.known if agent.sessions.get(h) == USER_LEVEL
-                ),
-                root_hosts=tuple(
-                    h for h in agent.known if agent.sessions.get(h) == ROOT_LEVEL
-                ),
-                fresh_hosts=tuple(h for h in agent.known if h not in agent.sessions),
-            )
-        flagged = [
-            h for h in agent.zone_hosts
-            if self.hosts[h].flagged_step is not None or self.hosts[h].confirmed_step is not None
-        ]
-        flagged.sort(key=lambda h: (
-            self.hosts[h].flagged_step if self.hosts[h].flagged_step is not None
-            else self.hosts[h].confirmed_step,
-            agent.zone_hosts.index(h),
-        ))
-        known = flagged if flagged else list(agent.zone_hosts)
-        candidates = [z for z in ZONES if z not in agent.zones]
-        zone_suspicious = 0
-        for host_id, kind in self._detections:
-            zone = self.topology.hosts[host_id].zone
-            if zone not in agent.zones:
-                continue
-            if kind == DETECT_DECOY or agent.monitor_step == last:
-                zone_suspicious += 1
-        counters = {
-            "zone_suspicious": zone_suspicious,
-            "zone_failures": sum(self._zone_failures.get(z, 0) for z in agent.zones),
-            "flagged_suspicious": sum(
-                1 for h in agent.zone_hosts
-                if self.hosts[h].flagged_step is not None and self.hosts[h].confirmed_step is None
-            ),
-            "confirmed_compromised": sum(
-                1 for h in agent.zone_hosts if self.hosts[h].confirmed_step is not None
-            ),
-            "analysed_clean": 1 if agent.analysed_clean_step == last else 0,
-        }
-        return AgentContext(name, act.BLUE, agent.zones, known, candidates, counters)
+        """The decision context of one agent, valid until the next `step()`."""
+        return AgentContext(self, self._agent(name))
 
 
 def green_policy(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 TRUE = "TRUE"
 FALSE = "FALSE"
 UNKNOWN = "UNKNOWN"
-SUCCESS_VALUES = (TRUE, FALSE, UNKNOWN)
 
 
 @dataclass(frozen=True, slots=True)

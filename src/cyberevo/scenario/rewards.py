@@ -91,11 +91,6 @@ class RewardTable:
         text = resources.files("cyberevo.scenario").joinpath("data/reward_table.json").read_text()
         return cls(json.loads(text))
 
-    @classmethod
-    def from_file(cls, path: str) -> "RewardTable":
-        with open(path) as fh:
-            return cls(json.load(fh))
-
 
 def reward_for(events: list[StepEvent], phase: str, table: RewardTable) -> tuple[float, float]:
     """Score one step's events.  Returns (blue_reward, red_reward)."""

@@ -88,18 +88,6 @@ class Topology:
     def servers_in(self, zone: str) -> list[str]:
         return [h for h in self.hosts_by_zone[zone] if self.hosts[h].server]
 
-    def total_services(self) -> int:
-        return sum(h.services for h in self.hosts.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "hosts": {
-                h.id: {"zone": h.zone, "server": h.server, "services": h.services}
-                for h in self.hosts.values()
-            },
-        }
-
     def validate(self, bounds: TopologyBounds) -> None:
         """Raise if the topology violates the documented shape."""
         if not self.hosts_by_zone[INTERNET] == []:

@@ -57,9 +57,6 @@ class FitnessTrace:
         self.records.append(record)
         return record
 
-    def extend(self, other: "FitnessTrace") -> None:
-        self.records.extend(other.records)
-
     def filter(self, side: Optional[str] = None, trial: Optional[int] = None) -> "FitnessTrace":
         out = [
             r
@@ -73,9 +70,6 @@ class FitnessTrace:
 
     def sides(self) -> tuple[str, ...]:
         return tuple(sorted({r.side for r in self.records}))
-
-    def best_values(self) -> list[float]:
-        return [r.best for r in self.records]
 
     def write_csv(self, path: str) -> None:
         """Write records atomically; equal traces produce equal bytes."""

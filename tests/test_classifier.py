@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import json
+from importlib import resources
+
 import pytest
 
-from cyberevo.controllers.classifier import (
-    classify_counters,
-    state_priority,
-    state_thresholds,
-)
+from cyberevo.controllers.classifier import classify_counters, state_priority
 from cyberevo.errors import ControllerError
+from cyberevo.scenario.config import ScenarioConfig
+from cyberevo.scenario.engine import ScenarioSim
 
 
 def test_priority_orders_match_matrix_row_orders():
@@ -18,8 +19,6 @@ def test_priority_orders_match_matrix_row_orders():
 
 
 def test_first_state_is_an_unconditional_default():
-    assert state_thresholds("red")["K"] == {}
-    assert state_thresholds("blue")["CN"] == {}
     assert classify_counters("red", {}) == "K"
     assert classify_counters("blue", {}) == "CN"
 
@@ -88,6 +87,13 @@ def test_every_threshold_counter_is_documented():
             "confirmed_compromised", "analysed_clean",
         },
     }
-    for side in ("red", "blue"):
-        for state, thresholds in state_thresholds(side).items():
+    table_text = resources.files("cyberevo.controllers").joinpath(
+        "data/state_classifier.json"
+    ).read_text()
+    tables = json.loads(table_text)
+    sim = ScenarioSim(ScenarioConfig(), seed=0)
+    for side, agent in (("red", "red_0"), ("blue", "blue_hq")):
+        for state, thresholds in tables[side]["states"].items():
             assert set(thresholds) <= tables_doc[side], (side, state)
+        # the decision context computes exactly the documented counters
+        assert set(sim.agent_context(agent).counters()) == tables_doc[side]

@@ -98,7 +98,7 @@ def test_same_seed_replays_identically():
     config = quiet_config(phishing_p=0.2, green_local_work_p=0.5)
     a = ScenarioSim(config, seed=5)
     b = ScenarioSim(config, seed=5)
-    assert a.topology.as_dict() == b.topology.as_dict()
+    assert a.topology == b.topology
     for _ in range(10):
         ra = sleep_step(a)
         rb = sleep_step(b)
@@ -199,8 +199,8 @@ def test_discover_remote_systems_learns_each_zone_host_once():
     assert red.known[0] == red.entry_host  # discovery preserves order
     assert len(red.known) == len(set(red.known))
     context = sim.agent_context("red_0")
-    assert context.counters["discovery_events"] == 1
-    assert context.counters["known_hosts"] == len(red.known)
+    assert context.counters()["discovery_events"] == 1
+    assert context.counters()["known_hosts"] == len(red.known)
 
 
 def test_discover_fails_when_zone_unreachable():
@@ -361,15 +361,15 @@ def test_monitor_gates_scan_detections():
     assert sim.hosts[target].flagged_step is not None
     assert result.observations["blue_restricted_a"].connections == 1
     context = sim.agent_context("blue_restricted_a")
-    assert context.counters["zone_suspicious"] == 1
-    assert context.counters["flagged_suspicious"] == 1
+    assert context.counters()["zone_suspicious"] == 1
+    assert context.counters()["flagged_suspicious"] == 1
 
     sim = ScenarioSim(config, seed=19)
     step_with(sim, {"red_0": ("DiscoverRemoteSystems", target_zone)})
     result = step_with(sim, {"red_0": ("AggressiveServiceDiscovery", target)})
     assert sim.hosts[target].flagged_step is None  # nobody was watching
     assert result.observations["blue_restricted_a"].connections == 0
-    assert sim.agent_context("blue_restricted_a").counters["zone_suspicious"] == 0
+    assert sim.agent_context("blue_restricted_a").counters()["zone_suspicious"] == 0
 
 
 def test_analyse_confirms_compromise_and_clean_hosts():
@@ -386,12 +386,12 @@ def test_analyse_confirms_compromise_and_clean_hosts():
         assert result.observations[name].files_user == 1
         assert result.observations[name].files_root == 0
     context = sim.agent_context("blue_restricted_a")
-    assert context.counters["confirmed_compromised"] == 1
+    assert context.counters()["confirmed_compromised"] == 1
 
     clean = zone_hosts[1]
     step_with(sim, {"blue_restricted_a": ("Analyse", clean)})
     assert sim.hosts[clean].confirmed_step is None
-    assert sim.agent_context("blue_restricted_a").counters["analysed_clean"] == 1
+    assert sim.agent_context("blue_restricted_a").counters()["analysed_clean"] == 1
 
 
 def test_remove_clears_user_sessions_but_not_root():
@@ -568,8 +568,8 @@ def test_blue_green_failures_counter_is_zone_local():
     )
     sim.hosts[victim].degraded = True
     sleep_step(sim)
-    assert sim.agent_context("blue_operational_a").counters["zone_failures"] == 1
-    assert sim.agent_context("blue_restricted_b").counters["zone_failures"] == 0
+    assert sim.agent_context("blue_operational_a").counters()["zone_failures"] == 1
+    assert sim.agent_context("blue_restricted_b").counters()["zone_failures"] == 0
 
 
 def test_red_context_partitions_known_hosts_by_session_level():
@@ -580,25 +580,26 @@ def test_red_context_partitions_known_hosts_by_session_level():
     other = next(h for h in red.known if h != entry)
     red.sessions[other] = ROOT_LEVEL
     context = sim.agent_context("red_0")
-    assert context.user_hosts == (entry,)
-    assert context.root_hosts == (other,)
-    assert set(context.fresh_hosts) == set(red.known) - {entry, other}
-    assert list(context.known_hosts) == red.known
-    assert context.counters["root_sessions"] == 1
-    assert context.counters["user_sessions"] == 0  # the entry foothold is not counted
+    assert context.targets("PrivilegeEscalate") == [entry]
+    assert context.targets("Impact") == [other]
+    assert context.targets("DegradeServices") == [other]
+    assert set(context.targets("ExploitRemoteService")) == set(red.known) - {entry, other}
+    assert context.targets("DiscoverDeception") == red.known
+    assert context.counters()["root_sessions"] == 1
+    assert context.counters()["user_sessions"] == 0  # the entry foothold is not counted
 
 
 def test_blue_context_orders_flagged_hosts_by_first_flag():
     sim = ScenarioSim(quiet_config(), seed=34)
     agent = sim.blue_agents["blue_restricted_a"]
     context = sim.agent_context("blue_restricted_a")
-    assert context.known_hosts == list(agent.zone_hosts)  # nothing flagged yet
+    assert context.targets("Analyse") == list(agent.zone_hosts)  # nothing flagged yet
     early, late = agent.zone_hosts[2], agent.zone_hosts[0]
     sim.hosts[early].flagged_step = 3
     sim.hosts[late].flagged_step = 5
     context = sim.agent_context("blue_restricted_a")
-    assert context.known_hosts == [early, late]
-    assert context.candidate_zones == [z for z in ZONES if z not in agent.zones]
+    assert context.targets("Analyse") == [early, late]
+    assert context.targets("BlockTrafficZone") == [z for z in ZONES if z not in agent.zones]
 
 
 def test_success_flag_starts_unknown():

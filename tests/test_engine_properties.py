@@ -2,8 +2,10 @@
 
 Hypothesis draws an episode seed and the scenario's event
 probabilities; both teams pick uniformly among their legal actions and
-target heuristics.  After every step the network state, the
-observations and the rewards must agree with each other.
+target heuristics.  Before every step each idle agent's candidate
+targets must match the state they are drawn from; after every step the
+network state, the observations and the rewards must agree with each
+other.
 """
 
 from __future__ import annotations
@@ -15,9 +17,16 @@ from hypothesis import strategies as st
 from cyberevo.controllers.base import TARGET_HEURISTICS
 from cyberevo.controllers.fsm import load_fsm_adversary
 from cyberevo.episodes import controller_for, resolve_heuristic_target
-from cyberevo.scenario.actions import BLUE_ACTIONS, RED_ACTIONS
+from cyberevo.scenario.actions import (
+    BLUE_ACTIONS,
+    RED_ACTIONS,
+    TARGET_KINDS,
+    TARGET_NONE,
+    TARGET_ZONE,
+)
 from cyberevo.scenario.config import ScenarioConfig
-from cyberevo.scenario.engine import NO_COMPROMISE, ROOT_LEVEL, ScenarioSim
+from cyberevo.scenario.engine import NO_COMPROMISE, ROOT_LEVEL, USER_LEVEL, ScenarioSim
+from cyberevo.scenario.topology import ZONES
 from cyberevo.seeds import STREAM_CONTROLLER, spawn_generator
 
 STEPS = 30
@@ -44,6 +53,7 @@ def play(sim: ScenarioSim, blue_team, red_team, seed: int, check) -> None:
         for name in sim.idle_agent_names():
             team = blue_team if sim.side_of(name) == "blue" else red_team
             context = sim.agent_context(name)
+            check_targets(sim, name, context)
             action, heuristic = controller_for(team, name).decide(
                 observations[name], context, rng
             )
@@ -53,6 +63,44 @@ def play(sim: ScenarioSim, blue_team, red_team, seed: int, check) -> None:
         result = sim.step(submissions)
         check(sim, result)
         observations = result.observations
+
+
+def expected_targets(sim: ScenarioSim, name: str, action: str) -> list[str]:
+    """The candidate list of ``action``, recomputed from the raw state."""
+    zone_action = TARGET_KINDS[action] == TARGET_ZONE
+    if sim.side_of(name) == "blue":
+        agent = sim.blue_agents[name]
+        if zone_action:
+            return [z for z in ZONES if z not in agent.zones]
+
+        def first_flag(host_id):
+            runtime = sim.hosts[host_id]
+            if runtime.flagged_step is not None:
+                return runtime.flagged_step
+            return runtime.confirmed_step
+
+        flagged = [h for h in agent.zone_hosts if first_flag(h) is not None]
+        flagged.sort(key=lambda h: (first_flag(h), agent.zone_hosts.index(h)))
+        return flagged or list(agent.zone_hosts)
+    red = next(r for r in sim.red_agents if r is not None and r.name == name)
+    if zone_action:
+        return [z for z in ZONES if sim.reachable(red.zone, z)]
+    if action == "PrivilegeEscalate":
+        return [h for h in red.known if red.sessions.get(h) == USER_LEVEL]
+    if action in ("Impact", "DegradeServices"):
+        return [h for h in red.known if red.sessions.get(h) == ROOT_LEVEL]
+    if action == "ExploitRemoteService":
+        return [h for h in red.known if h not in red.sessions]
+    return list(red.known)
+
+
+def check_targets(sim: ScenarioSim, name: str, context) -> None:
+    actions = BLUE_ACTIONS if sim.side_of(name) == "blue" else RED_ACTIONS
+    for action in actions:
+        if TARGET_KINDS[action] != TARGET_NONE:
+            assert context.targets(action) == expected_targets(sim, name, action), (
+                name, action,
+            )
 
 
 def check_invariants(sim: ScenarioSim, result) -> None:

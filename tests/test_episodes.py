@@ -21,8 +21,10 @@ from cyberevo.episodes import (
     run_episode,
 )
 from cyberevo.scenario.config import ScenarioConfig
-from cyberevo.scenario.engine import AgentContext
-from cyberevo.scenario.topology import TopologyBounds
+from cyberevo.controllers.rules import RuleController
+from cyberevo.grammar.ast import ActionAssign, Condition, IfStatement, ObsTest, RuleAst
+from cyberevo.scenario.engine import ROOT_LEVEL, AgentContext, ScenarioSim
+from cyberevo.scenario.topology import ZONES, TopologyBounds
 
 CONFIG = ScenarioConfig(
     steps=30,
@@ -67,56 +69,63 @@ def test_singleton_team_is_broadcast():
 # target resolution
 
 
-def ctx(**overrides) -> AgentContext:
-    base = dict(
-        name="red_0",
-        side="red",
-        zones=("contractor_uav",),
-        counters={},
-        known_hosts=["h1", "h2", "h3"],
-        user_hosts=("u1",),
-        root_hosts=("r1", "r2"),
-        fresh_hosts=("f1",),
-        candidate_zones=["z1", "z2"],
-    )
-    base.update(overrides)
-    return AgentContext(**base)
+def red_with_sessions(seed: int):
+    """A sim whose anchor knows [u1, f1, r1, r2]: u1 user, r1 and r2 root, f1 none."""
+    sim = ScenarioSim(CONFIG, seed)
+    red = sim.red_agents[0]
+    u1 = red.entry_host
+    f1, r1, r2 = [h for h in sim.topology.hosts_by_zone[red.zone] if h != u1][:3]
+    for host_id in (f1, r1, r2):
+        red.learn(host_id)
+    red.sessions.update({r1: ROOT_LEVEL, r2: ROOT_LEVEL})
+    return sim, (u1, f1, r1, r2)
 
 
 def test_resolution_is_action_aware_for_red():
     rng = np.random.default_rng(0)
-    context = ctx()
+    sim, (u1, f1, r1, r2) = red_with_sessions(seed=1)
+    context = sim.agent_context("red_0")
+    zones = [z for z in ZONES if sim.reachable("contractor_uav", z)]
     assert resolve_heuristic_target("Sleep", RANDOM_TARGET, context, rng) is None
     assert resolve_heuristic_target("Monitor", RANDOM_TARGET, context, rng) is None
     assert resolve_heuristic_target(
-        "DiscoverRemoteSystems", FIRST_TARGET, context, rng) == "z1"
+        "DiscoverRemoteSystems", FIRST_TARGET, context, rng) == zones[0]
     assert resolve_heuristic_target(
-        "PrivilegeEscalate", FIRST_TARGET, context, rng) == "u1"
-    assert resolve_heuristic_target("Impact", LAST_TARGET, context, rng) == "r2"
+        "PrivilegeEscalate", LAST_TARGET, context, rng) == u1
+    assert resolve_heuristic_target("Impact", LAST_TARGET, context, rng) == r2
     assert resolve_heuristic_target(
-        "DegradeServices", FIRST_TARGET, context, rng) == "r1"
+        "DegradeServices", FIRST_TARGET, context, rng) == r1
     assert resolve_heuristic_target(
-        "ExploitRemoteService", LAST_TARGET, context, rng) == "f1"
+        "ExploitRemoteService", LAST_TARGET, context, rng) == f1
     # actions without a session requirement draw from everything known
     assert resolve_heuristic_target(
-        "AggressiveServiceDiscovery", FIRST_TARGET, context, rng) == "h1"
+        "AggressiveServiceDiscovery", FIRST_TARGET, context, rng) == u1
     assert resolve_heuristic_target(
-        "DiscoverDeception", LAST_TARGET, context, rng) == "h3"
+        "DiscoverDeception", LAST_TARGET, context, rng) == r2
 
 
 def test_resolution_returns_none_when_no_candidate_exists():
     rng = np.random.default_rng(0)
-    context = ctx(root_hosts=(), user_hosts=(), fresh_hosts=())
+    sim = ScenarioSim(CONFIG, seed=2)
+    red = sim.red_agents[0]  # knows only its entry host, with a user session
+    context = sim.agent_context("red_0")
     assert resolve_heuristic_target("Impact", FIRST_TARGET, context, rng) is None
+    red.sessions[red.entry_host] = ROOT_LEVEL
+    context = sim.agent_context("red_0")
     assert resolve_heuristic_target("PrivilegeEscalate", LAST_TARGET, context, rng) is None
+    assert resolve_heuristic_target(
+        "ExploitRemoteService", FIRST_TARGET, context, rng) is None
 
 
 def test_blue_host_actions_use_known_hosts_unfiltered():
     rng = np.random.default_rng(0)
-    context = ctx(name="blue_hq", side="blue", known_hosts=["a", "b"])
-    assert resolve_heuristic_target("Restore", FIRST_TARGET, context, rng) == "a"
-    assert resolve_heuristic_target("Analyse", LAST_TARGET, context, rng) == "b"
-    assert resolve_heuristic_target("BlockTrafficZone", FIRST_TARGET, context, rng) == "z1"
+    sim = ScenarioSim(CONFIG, seed=3)
+    hosts = sim.blue_agents["blue_hq"].zone_hosts
+    context = sim.agent_context("blue_hq")
+    assert resolve_heuristic_target("Restore", FIRST_TARGET, context, rng) == hosts[0]
+    assert resolve_heuristic_target("Analyse", LAST_TARGET, context, rng) == hosts[-1]
+    assert resolve_heuristic_target(
+        "BlockTrafficZone", FIRST_TARGET, context, rng) == "restricted_zone_a"
 
 
 # ---------------------------------------------------------------------------
@@ -168,4 +177,22 @@ def test_full_default_scenario_runs_both_fsm_teams():
         red_team=[load_fsm_adversary("red")],
     )
     assert result.steps == 75
+    assert result.blue_total == -result.red_total
+
+
+def test_rule_controllers_never_compute_classifier_counters(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a rule controller asked for classifier counters")
+
+    monkeypatch.setattr(AgentContext, "counters", refuse)
+    red = RuleController(RuleAst(action_statements=(
+        ActionAssign("DiscoverRemoteSystems"),
+        IfStatement(
+            Condition("single", ObsTest("connections", ">", 1)),
+            ActionAssign("ExploitRemoteService"),
+        ),
+    )), "red")
+    blue = RuleController(RuleAst(action_statements=(ActionAssign("Analyse"),)), "blue")
+    result = run_episode(CONFIG, seed=17, blue_team=[blue], red_team=[red])
+    assert result.steps == CONFIG.steps
     assert result.blue_total == -result.red_total

@@ -69,6 +69,9 @@ def test_evo_config_validation():
         EvoConfig(elite_count=-1)
     with pytest.raises(ValueError):
         EvoConfig(controllers_per_team="both")
+    for name in ("iterations", "trials", "repetitions", "tournament_size"):
+        with pytest.raises(ValueError, match=name):
+            EvoConfig(**{name: 0})
     defaults = EvoConfig()
     assert (defaults.population_size, defaults.iterations, defaults.trials) == (10, 20, 6)
     assert (defaults.repetitions, defaults.elite_count, defaults.tournament_size) == (2, 1, 2)

@@ -302,18 +302,24 @@ def test_cli_rejects_unknown_experiments(tmp_path, capsys):
 
 
 def test_cli_reports_rejected_settings_without_a_traceback(tmp_path, capsys):
-    code = main([
-        "run", "GA-B", "--population", "1", "--output-dir", str(tmp_path),
-    ])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    spec = tmp_path / "llm-many.json"
-    spec.write_text(json.dumps(
-        {"experiment": "GE-LLM-C", "controllers_per_team": "many"}
-    ))
-    assert main(["run", str(spec), "--output-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    for flags in (
+        ["--population", "1"],
+        ["--iterations", "0"],
+        ["--repetitions", "0"],
+        ["--trials", "0"],
+    ):
+        assert main(["run", "GA-B", *flags, "--output-dir", str(tmp_path)]) == 2, flags
+        assert capsys.readouterr().err.startswith("error: "), flags
+    spec = tmp_path / "spec.json"
+    for settings in (
+        {"experiment": "GE-LLM-C", "controllers_per_team": "many"},
+        {"experiment": "GA-B", "iterations": "2"},
+        {"experiment": "GA-B", "trials": True},
+        {"experiment": "GE-LLM-B", "llm": "mock"},
+    ):
+        spec.write_text(json.dumps(settings))
+        assert main(["run", str(spec), "--output-dir", str(tmp_path)]) == 2, settings
+        assert capsys.readouterr().err.startswith("error: "), settings
     assert list(tmp_path.iterdir()) == [spec]
 
 

@@ -18,18 +18,13 @@ b: "y" | "z"
 def test_parse_basic_rules_alternatives_and_start():
     grammar = parse_grammar(TOY)
     assert grammar.start == "s"
-    assert grammar.nonterminals() == ("s", "a", "b")
+    assert tuple(grammar.rules) == ("s", "a", "b")
     assert grammar.choice_counts() == {"s": 2, "a": 2, "b": 2}
     assert grammar.productions("s") == (
         (NonTerminal("a"),),
         (NonTerminal("a"), NonTerminal("s")),
     )
     assert grammar.productions("b") == ((Terminal("y"),), (Terminal("z"),))
-
-
-def test_terminals_preserve_first_seen_order_without_duplicates():
-    grammar = parse_grammar('r: "b" "a" | "a" "c"\n')
-    assert grammar.terminals() == ("b", "a", "c")
 
 
 def test_indented_lines_continue_the_previous_rule():
@@ -123,4 +118,3 @@ def test_grammar_equality_ignores_source_text():
 def test_grammar_is_plain_data():
     grammar = Grammar(rules={"s": ((Terminal("x"),),)}, start="s")
     assert grammar.productions("s") == ((Terminal("x"),),)
-    assert grammar.terminals() == ("x",)

@@ -7,17 +7,18 @@ import pytest
 
 from cyberevo.controllers.base import SleepController
 from cyberevo.evolution import EvoConfig, RuleTeamDecoder, evolve_one_sided
+from cyberevo.grammar.model import Grammar
 from cyberevo.grammar.program import parse_program, render_program
 from cyberevo.grammar.variants import load_grammar
 from cyberevo.llm import (
-    DEFAULT_TEMPLATE,
     GRAMMAR_HEADER,
+    INSTRUCTIONS,
+    PERSONA,
     PROGRAM_HEADER,
     CompletionResult,
     EchoClient,
     ExpandingMockClient,
     LlmStats,
-    PromptTemplate,
     ScriptedClient,
     build_prompt,
     extract_code,
@@ -50,10 +51,11 @@ TINY = ScenarioConfig(
 
 
 def test_prompt_contains_all_sections_in_order():
-    prompt = build_prompt(DEFAULT_TEMPLATE, GRAMMAR, MONITOR_TEXT)
+    prompt = build_prompt(GRAMMAR, MONITOR_TEXT)
+    assert prompt.startswith(PERSONA)
     i_grammar = prompt.index(GRAMMAR_HEADER)
     i_program = prompt.index(PROGRAM_HEADER)
-    i_instructions = prompt.index(DEFAULT_TEMPLATE.instructions.strip())
+    i_instructions = prompt.index(INSTRUCTIONS)
     assert 0 < i_grammar < i_program < i_instructions
     assert GRAMMAR.to_text().strip() in prompt
     assert "action = Monitor" in prompt
@@ -61,9 +63,9 @@ def test_prompt_contains_all_sections_in_order():
 
 def test_empty_prompt_sections_are_rejected():
     with pytest.raises(ValueError):
-        build_prompt(PromptTemplate(persona="  "), GRAMMAR, MONITOR_TEXT)
+        build_prompt(Grammar(rules={}, start="s"), MONITOR_TEXT)
     with pytest.raises(ValueError):
-        build_prompt(DEFAULT_TEMPLATE, GRAMMAR, "   ")
+        build_prompt(GRAMMAR, "   ")
 
 
 def test_extract_code_prefers_the_last_fenced_block():
@@ -167,7 +169,7 @@ def test_validity_accounting_conserves_calls():
 def test_token_fallback_counts_whitespace_words():
     stats = LlmStats()
     llm_mutate(EchoClient(), MONITOR_TEXT, GRAMMAR, DECODER, stats)
-    prompt = build_prompt(DEFAULT_TEMPLATE, GRAMMAR, MONITOR_TEXT)
+    prompt = build_prompt(GRAMMAR, MONITOR_TEXT)
     reply = EchoClient().complete(prompt).text
     assert stats.tokens_total == len(prompt.split()) + len(reply.split())
 

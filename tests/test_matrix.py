@@ -139,7 +139,8 @@ def test_decide_classifies_then_samples():
     controller = MatrixController("blue", rows)
 
     class FakeContext:
-        counters = {"confirmed_compromised": 2}
+        def counters(self):
+            return {"confirmed_compromised": 2}
 
     action, heuristic = controller.decide(None, FakeContext(), np.random.default_rng(1))
     assert action == BLUE_MATRIX_ACTIONS[-1]

@@ -6,8 +6,6 @@ packaged JSON so the two cannot drift apart unnoticed.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from cyberevo.errors import ScenarioConfigError
@@ -111,14 +109,6 @@ def test_table_validation_rejects_missing_and_positive_cells():
     del cells[PHASE2A]
     with pytest.raises(ScenarioConfigError):
         RewardTable(cells)
-
-
-def test_table_file_round_trip(tmp_path):
-    table = RewardTable.default()
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps(table.as_dict()))
-    again = RewardTable.from_file(str(path))
-    assert again.as_dict() == table.as_dict()
 
 
 def test_phase_of_boundaries():

@@ -31,18 +31,9 @@ def test_filter_trials_and_sides():
     assert trace.sides() == ("blue", "red")
     blue = trace.filter(side="blue")
     assert len(blue.records) == 3
-    assert blue.filter(trial=1).best_values() == [-29.0]
-    assert trace.filter(side="red", trial=1).best_values() == [12.0]
+    assert [r.best for r in blue.filter(trial=1).records] == [-29.0]
+    assert [r.best for r in trace.filter(side="red", trial=1).records] == [12.0]
     assert trace.filter(side="green").records == []
-
-
-def test_extend_concatenates_in_order():
-    a = sample_trace()
-    b = FitnessTrace()
-    b.append(2, 0, "blue", "GA-B", -28.0, -31.0, 20)
-    a.extend(b)
-    assert a.records[-1].trial == 2
-    assert len(a.records) == 5
 
 
 def test_csv_round_trip_preserves_every_record(tmp_path):
