@@ -77,9 +77,9 @@ def run_episode(
     blue_rewards: list[float] = []
     for _ in range(horizon):
         submissions: dict[str, tuple[str, Optional[str]]] = {}
-        for name in sim.idle_agent_names():
-            team = blue_team if sim.side_of(name) == "blue" else red_team
-            controller = controller_for(team, name)
+        for agent in sim.idle_agents():
+            name = agent.name
+            controller = controller_for(blue_team if agent.side == "blue" else red_team, name)
             context = sim.agent_context(name)
             action, heuristic = controller.decide(observations[name], context, rng)
             target = resolve_heuristic_target(action, heuristic, context, rng)

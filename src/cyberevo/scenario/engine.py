@@ -12,15 +12,23 @@ it for counters, and the episode runner asks it for the candidate
 targets of the one action chosen, so a rule controller, which reads only
 its observation, never pays for counters.
 
-Step order is fixed for determinism: submissions are enqueued, pending
-actions tick down, blue completions apply before red completions, the
-red team's automatic spawns roll, green users act, rewards are scored
-and observations are rebuilt.
+Step order is fixed for determinism: submissions are enqueued, blue
+agents before red ones, pending actions tick down, blue completions
+apply before red completions, the red team's automatic spawns roll,
+green users act, rewards are scored and observations are rebuilt.
+
+The green users' draws are part of the seed contract.  Each green host,
+in topology order, draws one `random()` to choose local work; otherwise
+it draws `integers(total)` over every service the network offers,
+again until the service is not on its own host, and an access that
+reaches a compromised host draws one more `random()` for a red spawn.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -83,6 +91,7 @@ class HostRuntime:
 
 
 class RedAgent:
+    side = act.RED
     __slots__ = (
         "name", "slot", "zone", "entry_host", "anchor", "sessions",
         "known", "known_set", "scanned", "decoys_known",
@@ -113,6 +122,7 @@ class RedAgent:
 
 
 class BlueAgent:
+    side = act.BLUE
     __slots__ = ("name", "zones", "home_host", "zone_hosts", "pending",
                  "last_success", "monitor_step", "analysed_clean_step")
 
@@ -154,7 +164,7 @@ class AgentContext:
     def __init__(self, sim: ScenarioSim, agent: RedAgent | BlueAgent):
         self.sim = sim
         self.agent = agent
-        self.side = act.RED if isinstance(agent, RedAgent) else act.BLUE
+        self.side = agent.side
 
     def counters(self) -> dict[str, int]:
         """The counters the state classifier reads for this agent."""
@@ -245,10 +255,13 @@ class ScenarioSim:
         self._last_applied_step = -1
         self.cumulative_blue = 0.0
         self.cumulative_red = 0.0
-        self._green_hosts = [h for h in self.topology.hosts if not self.topology.hosts[h].server]
-        self._service_hosts = list(self.topology.hosts)
-        self._service_cumsum = np.cumsum([self.topology.hosts[h].services for h in self._service_hosts])
-        self._n_servers = sum(1 for h in self.topology.hosts.values() if h.server)
+        hosts = self.topology.hosts
+        self._zone_of = {h: host.zone for h, host in hosts.items()}
+        self._greens = [(h, host.zone, self.hosts[h]) for h, host in hosts.items() if not host.server]
+        # Services are drawn by their cumulative count, in topology order.
+        self._service_hosts = list(hosts)
+        self._service_cumsum = list(accumulate(host.services for host in hosts.values()))
+        self._servers = frozenset(h for h, host in hosts.items() if host.server)
         self._spawn_initial_agents()
 
     # ------------------------------------------------------------------
@@ -267,13 +280,18 @@ class ScenarioSim:
     # ------------------------------------------------------------------
     # queries used by the episode runner
 
+    def _active_agents(self) -> list[RedAgent | BlueAgent]:
+        """Blue agents, then active red agents in slot order: the step order."""
+        return [*self.blue_agents.values(), *(a for a in self.red_agents if a is not None)]
+
     def agent_names(self) -> list[str]:
-        names = list(self.blue_agents)
-        names.extend(a.name for a in self.red_agents if a is not None)
-        return names
+        return [agent.name for agent in self._active_agents()]
+
+    def idle_agents(self) -> list[RedAgent | BlueAgent]:
+        return [agent for agent in self._active_agents() if agent.pending is None]
 
     def idle_agent_names(self) -> list[str]:
-        return [n for n in self.agent_names() if self._agent(n).pending is None]
+        return [agent.name for agent in self.idle_agents()]
 
     def side_of(self, name: str) -> str:
         return act.BLUE if name in self.blue_agents else act.RED
@@ -299,12 +317,18 @@ class ScenarioSim:
         return None
 
     def reachable(self, zone_a: str, zone_b: str) -> bool:
+        return zone_b in self._routes()[zone_a]
+
+    def _routes(self) -> dict[str, frozenset[str]]:
+        """Every zone's reachable zones, less those it has a blocked edge to."""
         if self._reach_dirty:
-            self._reach = zone_reachable(self.blocked)
+            blocked = self.blocked
+            self._reach = {
+                a: frozenset(b for b in reach if self._zone_pair(a, b) not in blocked)
+                for a, reach in zone_reachable(blocked).items()
+            }
             self._reach_dirty = False
-        if self._zone_pair(zone_a, zone_b) in self.blocked:
-            return False
-        return zone_b in self._reach[zone_a]
+        return self._reach
 
     # ------------------------------------------------------------------
     # the step function
@@ -322,22 +346,20 @@ class ScenarioSim:
         self._detections = []
         self._zone_failures = {}
 
-        ordered = [n for n in self.agent_names() if n in agent_actions]
-        unknown = set(agent_actions) - set(self.agent_names())
-        if unknown:
+        agents = self._active_agents()
+        submitted = [(a, agent_actions[a.name]) for a in agents if a.name in agent_actions]
+        if len(submitted) != len(agent_actions):
+            unknown = set(agent_actions).difference(a.name for a in agents)
             raise SimulationFault(f"actions submitted for unknown agents {sorted(unknown)}")
-        for name in ordered:
-            self._submit(name, agent_actions[name])
+        for agent, submission in submitted:
+            self._submit(agent, submission)
 
-        completions = self._tick_pending()
+        completions = self._tick_pending(agents)
         for agent, action, target in completions:
-            if isinstance(agent, BlueAgent):
-                self._apply_blue(agent, action, target, events)
-        for agent, action, target in completions:
-            # A blue completion earlier in this step may have evicted the
+            # Blue completions come first.  One of them may have evicted a
             # red agent; its in-flight action dies with it.
-            if isinstance(agent, RedAgent) and self.red_agents[agent.slot] is agent:
-                self._apply_red(agent, action, target, events)
+            if agent.side == act.BLUE or self.red_agents[agent.slot] is agent:
+                self._apply(agent, action, target, events)
 
         self._roll_phishing()
         self._run_greens(events)
@@ -352,16 +374,16 @@ class ScenarioSim:
         observations = self._build_observations()
         return StepResult(events, observations, blue_reward, red_reward)
 
-    def _submit(self, name: str, submission: tuple[str, str | None]):
+    def _submit(self, agent: RedAgent | BlueAgent, submission: tuple[str, str | None]):
         action, target = submission
-        agent = self._agent(name)
-        side = self.side_of(name)
-        if not act.is_legal(side, action):
-            raise SimulationFault(f"{name} submitted illegal action {action!r} for side {side}")
+        if not act.is_legal(agent.side, action):
+            raise SimulationFault(
+                f"{agent.name} submitted illegal action {action!r} for side {agent.side}"
+            )
         if agent.pending is not None:
             if action == "Sleep":
                 return
-            raise SimulationFault(f"{name} submitted {action} while busy")
+            raise SimulationFault(f"{agent.name} submitted {action} while busy")
         kind = act.TARGET_KINDS[action]
         if kind == act.TARGET_NONE:
             if target is not None:
@@ -380,10 +402,9 @@ class ScenarioSim:
                 # The machine is offline for the whole reimaging window.
                 self.hosts[target].restoring = True
 
-    def _tick_pending(self):
+    def _tick_pending(self, agents: list[RedAgent | BlueAgent]):
         completions = []
-        for name in self.agent_names():
-            agent = self._agent(name)
+        for agent in agents:
             if agent.pending is None:
                 continue
             action, target, remaining = agent.pending
@@ -395,20 +416,17 @@ class ScenarioSim:
                 completions.append((agent, action, target))
         return completions
 
-    # ------------------------------------------------------------------
-    # blue action semantics
-
-    def _apply_blue(self, agent: BlueAgent, action: str, target: str | None, events: list[StepEvent]):
+    def _apply(self, agent: RedAgent | BlueAgent, action: str, target: str | None, events: list[StepEvent]):
         if target is None and act.TARGET_KINDS[action] != act.TARGET_NONE:
             agent.last_success = FALSE
-            return
-        if action == "Restore":
-            self.hosts[target].restoring = False
-        handler = getattr(self, f"_blue_{action.lower()}", None)
-        if handler is None:
-            agent.last_success = TRUE if action == "Sleep" else FALSE
-            return
-        agent.last_success = TRUE if handler(agent, target, events) else FALSE
+        elif action == "Sleep":
+            agent.last_success = TRUE
+        else:
+            handler = _HANDLERS[agent.side][action]
+            agent.last_success = TRUE if handler(self, agent, target, events) else FALSE
+
+    # ------------------------------------------------------------------
+    # blue action semantics
 
     def _blue_monitor(self, agent: BlueAgent, target, events) -> bool:
         agent.monitor_step = self.step_index
@@ -455,9 +473,10 @@ class ScenarioSim:
         return removed and self.hosts[target].red_level == NO_COMPROMISE
 
     def _blue_restore(self, agent: BlueAgent, target, events) -> bool:
+        host = self.hosts[target]
+        host.restoring = False  # the reimaging window ends, done or refused
         if self.topology.hosts[target].zone not in agent.zones:
             return False
-        host = self.hosts[target]
         for red in self.red_agents:
             if red is None or target not in red.sessions:
                 continue
@@ -470,7 +489,6 @@ class ScenarioSim:
         self._deactivate_empty_agents()
         host.degraded = False
         host.decoy = False
-        host.restoring = False
         host.clear_evidence()
         return True
 
@@ -498,16 +516,6 @@ class ScenarioSim:
 
     # ------------------------------------------------------------------
     # red action semantics
-
-    def _apply_red(self, agent: RedAgent, action: str, target: str | None, events: list[StepEvent]):
-        if target is None and act.TARGET_KINDS[action] != act.TARGET_NONE:
-            agent.last_success = FALSE
-            return
-        handler = getattr(self, f"_red_{action.lower()}", None)
-        if handler is None:
-            agent.last_success = TRUE if action == "Sleep" else FALSE
-            return
-        agent.last_success = TRUE if handler(agent, target, events) else FALSE
 
     def _red_discoverremotesystems(self, agent: RedAgent, target, events) -> bool:
         if not self.reachable(agent.zone, target):
@@ -633,23 +641,25 @@ class ScenarioSim:
             self._spawn_red(slot, zone, entry)
 
     def _run_greens(self, events: list[StepEvent]):
-        for host_id in self._green_hosts:
-            action, target = green_policy(
-                self.rng, host_id, self._service_hosts, self._service_cumsum,
-                self.config.green_local_work_p,
-            )
-            if action == "LocalWork":
-                host = self.hosts[host_id]
+        """Each green host works locally or uses a service (see the module doc)."""
+        random, integers = self.rng.random, self.rng.integers
+        local_work_p = self.config.green_local_work_p
+        cumsum, services = self._service_cumsum, self._service_hosts
+        total = cumsum[-1]
+        for host_id, zone, host in self._greens:
+            if random() < local_work_p:
                 if host.degraded or host.restoring:
-                    self._green_failure(self.topology.hosts[host_id].zone, LOCAL_WORK_FAILS, events)
-            else:
-                self._green_access(host_id, target, events)
+                    self._green_failure(zone, LOCAL_WORK_FAILS, events)
+                continue
+            target = host_id
+            while target == host_id:
+                target = services[bisect_right(cumsum, int(integers(total)))]
+            self._green_access(host_id, target, events)
 
     def _green_access(self, green_host: str, target: str, events: list[StepEvent]):
-        target_zone = self.topology.hosts[target].zone
-        own_zone = self.topology.hosts[green_host].zone
+        target_zone, own_zone = self._zone_of[target], self._zone_of[green_host]
         target_state = self.hosts[target]
-        if not self.reachable(own_zone, target_zone) or target_state.degraded or target_state.restoring:
+        if target_zone not in self._routes()[own_zone] or target_state.degraded or target_state.restoring:
             # Failed service access is charged to the zone offering the service.
             self._green_failure(target_zone, ACCESS_SERVICE_FAILS, events)
             return
@@ -704,10 +714,13 @@ class ScenarioSim:
             1 for host_id, kind in self._detections
             if kind == DETECT_SCAN and self._zone_monitored(self.topology.hosts[host_id].zone, last)
         )
-        files_user = sum(h.files_user_evidence for h in self.hosts.values())
-        files_root = sum(h.files_root_evidence for h in self.hosts.values())
+        files_user = files_root = 0
+        for host in self.hosts.values():
+            files_user += host.files_user_evidence
+            files_root += host.files_root_evidence
+        n_servers = len(self._servers)
         observations = {
-            name: Observation(agent.last_success, scans, files_user, files_root, self._n_servers)
+            name: Observation(agent.last_success, scans, files_user, files_root, n_servers)
             for name, agent in self.blue_agents.items()
         }
         for red in self.red_agents:
@@ -715,7 +728,7 @@ class ScenarioSim:
                 continue
             # Sessions are always on known hosts, so they count directly.
             roots = sum(1 for level in red.sessions.values() if level == ROOT_LEVEL)
-            servers = sum(1 for h in red.known if self.topology.hosts[h].server)
+            servers = len(self._servers & red.known_set)
             observations[red.name] = Observation(
                 red.last_success, len(red.known), len(red.sessions), roots, servers, roots
             )
@@ -729,24 +742,12 @@ class ScenarioSim:
         return AgentContext(self, self._agent(name))
 
 
-def green_policy(
-    rng: np.random.Generator,
-    green_host: str,
-    service_hosts: list[str],
-    service_cumsum: np.ndarray,
-    p_local_work: float = 0.5,
-) -> tuple[str, str | None]:
-    """Draw one green user's action for the step.
-
-    Greens do local work or reach out to a service picked uniformly over
-    every service offered by other hosts (local zone or remote).
-    """
-    if rng.random() < p_local_work:
-        return "LocalWork", None
-    total = int(service_cumsum[-1])
-    while True:
-        draw = int(rng.integers(total))
-        idx = int(np.searchsorted(service_cumsum, draw, side="right"))
-        target = service_hosts[idx]
-        if target != green_host:
-            return "AccessService", target
+# {action: handler} per side, for every legal action but Sleep: the
+# handler of `Action` is `ScenarioSim._<side>_action`.
+_HANDLERS = {
+    side: {
+        a: getattr(ScenarioSim, f"_{side}_{a.lower()}")
+        for a in act.ACTIONS_BY_SIDE[side] if a != "Sleep"
+    }
+    for side in (act.BLUE, act.RED)
+}

@@ -140,6 +140,42 @@ def test_illegal_submissions_raise():
         step_with(sim, {"blue_hq": ("Monitor", sim.blue_agents["blue_hq"].home_host)})
 
 
+def test_submission_for_a_deactivated_red_slot_raises():
+    sim = ScenarioSim(quiet_config(), seed=3)
+    host = sim.topology.user_hosts()[-1]
+    plant_red(sim, 1, sim.topology.hosts[host].zone, host)
+    step_with(sim, {"red_1": ("Withdraw", host)})
+    assert sim.red_agents[1] is None  # its last session is gone
+    with pytest.raises(SimulationFault, match="red_1"):
+        step_with(sim, {"red_1": ("Sleep", None)})
+
+
+def test_unknown_names_raise_before_any_submission_applies():
+    sim = ScenarioSim(quiet_config(), seed=3)
+    submissions = {
+        "blue_hq": ("Monitor", None),
+        "ghost": ("Sleep", None),
+        "red_0": ("Sleep", None),
+        "red_7": ("Sleep", None),
+    }
+    with pytest.raises(SimulationFault, match=r"unknown agents \['ghost', 'red_7'\]$"):
+        sim.step(submissions)
+    assert sim.step_index == 0
+    assert sim.blue_agents["blue_hq"].pending is None
+
+
+def test_blue_submits_and_applies_before_red_whatever_the_dict_order():
+    sim = ScenarioSim(quiet_config(), seed=3)
+    with pytest.raises(SimulationFault, match="^blue_hq submitted illegal"):
+        sim.step({"red_0": ("Restore", None), "blue_hq": ("Impact", None)})
+
+    host = sim.topology.hosts_by_zone["restricted_zone_a"][-1]
+    red = plant_red(sim, 1, "restricted_zone_a", host)
+    sim.step({"red_1": ("DiscoverDeception", host), "blue_restricted_a": ("DeployDecoy", host)})
+    assert red.last_success == TRUE  # the decoy was down before red looked
+    assert red.decoys_known == {host}
+
+
 def test_episode_cannot_run_past_its_horizon():
     sim = ScenarioSim(quiet_config(steps=12, phase_boundaries=(4, 8)), seed=4)
     for _ in range(12):
