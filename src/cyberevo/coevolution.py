@@ -26,8 +26,6 @@ from .evolution import (
 )
 from .scenario.config import ScenarioConfig
 
-PENALTY = INVALID_PENALTY
-
 
 def mean_expected_utility(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fitness vectors from a red-rows × blue-columns reward matrix."""
@@ -87,7 +85,7 @@ def _assign_fitness(
         if individual.valid and not faulted:
             individual.fitness = float(utility)
         else:
-            individual.fitness = worst - PENALTY
+            individual.fitness = worst - INVALID_PENALTY
 
 
 def coevolve(

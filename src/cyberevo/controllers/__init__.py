@@ -6,7 +6,6 @@ from .base import (
     RANDOM_TARGET,
     TARGET_HEURISTICS,
     Controller,
-    FixedActionController,
     SleepController,
 )
 from .classifier import classify_counters, classify_state, state_priority
@@ -28,7 +27,6 @@ __all__ = [
     "BLUE_TEAM_SIZE",
     "Controller",
     "FIRST_TARGET",
-    "FixedActionController",
     "LAST_TARGET",
     "MatrixController",
     "OBSERVATION_FUNCTIONS",

@@ -39,15 +39,3 @@ class SleepController:
 
     def decide(self, observation, context, rng) -> tuple[str, str]:
         return "Sleep", RANDOM_TARGET
-
-
-class FixedActionController:
-    """Repeats one action with one heuristic; handy in tests."""
-
-    def __init__(self, side: str, action: str, heuristic: str = RANDOM_TARGET):
-        self.side = side
-        self.action = action
-        self.heuristic = heuristic
-
-    def decide(self, observation, context, rng) -> tuple[str, str]:
-        return self.action, self.heuristic

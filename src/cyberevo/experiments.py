@@ -192,7 +192,6 @@ def run_experiment(
     if spec.algorithm != "GE-LLM":
         llm_client = None
 
-    os.makedirs(output_dir, exist_ok=True)
     started = time.perf_counter()
     if spec.evolving == "both":
         result = coevolve(
@@ -211,6 +210,8 @@ def run_experiment(
         )
     wall = time.perf_counter() - started
 
+    # Only a run that returned gets a directory: a rejected spec leaves none.
+    os.makedirs(output_dir, exist_ok=True)
     csv_path = os.path.join(output_dir, f"{spec.name}.csv")
     meta_path = os.path.join(output_dir, f"{spec.name}.meta.json")
     result.trace.write_csv(csv_path)

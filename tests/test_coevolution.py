@@ -5,15 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cyberevo.controllers.base import FixedActionController
 from cyberevo.coevolution import (
-    PENALTY,
     _assign_fitness,
     all_vs_all,
     coevolve,
     mean_expected_utility,
 )
 from cyberevo.evolution import (
+    INVALID_PENALTY,
     DecodeOutcome,
     EvolutionResult,
     EvoConfig,
@@ -23,6 +22,7 @@ from cyberevo.evolution import (
 )
 from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.scenario.topology import TopologyBounds
+from helpers import FixedActionController
 
 TINY = ScenarioConfig(
     steps=6,
@@ -67,12 +67,12 @@ def test_assign_fitness_penalizes_relative_to_surviving_best():
     faults = np.array([False, False, True])
     _assign_fitness(population, utilities, faults)
     assert population[0].fitness == 5.0
-    assert population[1].fitness == 5.0 - PENALTY  # invalid: ignores its utility
-    assert population[2].fitness == 5.0 - PENALTY  # faulted: same treatment
+    assert population[1].fitness == 5.0 - INVALID_PENALTY  # invalid: ignores its utility
+    assert population[2].fitness == 5.0 - INVALID_PENALTY  # faulted: same treatment
     # with no real scores at all, the penalty is anchored at zero
     only_bad = [individual(valid=False)]
     _assign_fitness(only_bad, np.array([1.0]), np.array([False]))
-    assert only_bad[0].fitness == -PENALTY
+    assert only_bad[0].fitness == -INVALID_PENALTY
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +141,8 @@ def test_faults_poison_rows_and_columns():
     _assign_fitness(populations[0], red_util, faults.any(axis=1))
     _assign_fitness(populations[1], blue_util, faults.any(axis=0))
     for red in reds:
-        assert red.fitness == -PENALTY  # poisoned rows leave no real red scores
-    assert bad_blue.fitness == good_blue.fitness - PENALTY
+        assert red.fitness == -INVALID_PENALTY  # poisoned rows leave no real red scores
+    assert bad_blue.fitness == good_blue.fitness - INVALID_PENALTY
     assert good_blue.fitness > bad_blue.fitness
 
 

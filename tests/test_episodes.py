@@ -9,7 +9,6 @@ from cyberevo.controllers.base import (
     FIRST_TARGET,
     LAST_TARGET,
     RANDOM_TARGET,
-    FixedActionController,
     SleepController,
 )
 from cyberevo.controllers.fsm import load_fsm_adversary
@@ -25,6 +24,7 @@ from cyberevo.controllers.rules import RuleController
 from cyberevo.grammar.ast import ActionAssign, Condition, IfStatement, ObsTest, RuleAst
 from cyberevo.scenario.engine import ROOT_LEVEL, AgentContext, ScenarioSim
 from cyberevo.scenario.topology import ZONES, TopologyBounds
+from helpers import FixedActionController
 
 CONFIG = ScenarioConfig(
     steps=30,

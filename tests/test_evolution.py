@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cyberevo.controllers.base import FixedActionController, SleepController
+from cyberevo.controllers.base import SleepController
 from cyberevo.controllers.fsm import load_fsm_adversary
 from cyberevo.controllers.matrix import MatrixController
 from cyberevo.controllers.rules import RuleController
@@ -30,6 +30,7 @@ from cyberevo.evolution import (
 from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.scenario.topology import TopologyBounds
 from cyberevo.traces import running_best
+from helpers import FixedActionController
 
 TINY = ScenarioConfig(
     steps=6,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -321,6 +322,15 @@ def test_cli_reports_rejected_settings_without_a_traceback(tmp_path, capsys):
         assert main(["run", str(spec), "--output-dir", str(tmp_path)]) == 2, settings
         assert capsys.readouterr().err.startswith("error: "), settings
     assert list(tmp_path.iterdir()) == [spec]
+
+
+def test_a_rejected_spec_leaves_no_output_directory(tmp_path):
+    out = tmp_path / "never-made"
+    spec = dataclasses.replace(get_experiment("GE-LLM-C"), controllers_per_team="many")
+    evo = dataclasses.replace(SMALL_EVO, controllers_per_team="many")
+    with pytest.raises(ValueError, match="single shared controller"):
+        run_experiment(spec, str(out), evo=evo, scenario=TINY, llm_settings={"kind": "mock"})
+    assert not out.exists()
 
 
 def test_cli_summarize(tmp_path, capsys):

@@ -9,7 +9,6 @@ from cyberevo.controllers.base import (
     FIRST_TARGET,
     LAST_TARGET,
     RANDOM_TARGET,
-    FixedActionController,
     SleepController,
 )
 from cyberevo.controllers.rules import OBSERVATION_FUNCTIONS, RuleController, resolve_target
@@ -24,6 +23,7 @@ from cyberevo.grammar.ast import (
     TargetAssign,
 )
 from cyberevo.scenario.observations import FALSE, TRUE, Observation
+from helpers import FixedActionController
 
 RNG = np.random.default_rng(0)
 
