@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-import numpy as np
-
 from ..scenario.engine import AgentContext
 from ..scenario.observations import Observation
+from ..seeds import ScalarStream
 
 RANDOM_TARGET = "random_target"
 FIRST_TARGET = "first_target"
@@ -25,9 +24,13 @@ class Controller(Protocol):
     side: str
 
     def decide(
-        self, observation: Observation, context: AgentContext, rng: np.random.Generator
+        self, observation: Observation, context: AgentContext, rng: ScalarStream
     ) -> tuple[str, str]:
-        """Return (action name, target heuristic name)."""
+        """Return (action name, target heuristic name).
+
+        ``rng`` is the episode's controller stream, shared by every
+        decision and target resolution of the episode.
+        """
         ...
 
 

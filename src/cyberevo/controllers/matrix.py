@@ -7,12 +7,14 @@ decoded from real-valued or discrete genomes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import ControllerError
 from ..scenario import actions as act
+from ..seeds import ScalarStream
 from .base import RANDOM_TARGET
 from .classifier import classify_state, state_priority
 
@@ -100,7 +102,7 @@ class MatrixController:
         if extra:
             raise ControllerError(f"rows given for unknown states {sorted(extra)}")
         self.rows: dict[str, np.ndarray] = {}
-        self._cums: dict[str, np.ndarray] = {}
+        self._cums: dict[str, list[float]] = {}
         for state, row in rows.items():
             if len(row) != len(self.actions):
                 raise ControllerError(
@@ -108,12 +110,13 @@ class MatrixController:
                 )
             probs = normalize_row(row)
             self.rows[state] = probs
-            self._cums[state] = np.cumsum(probs)
+            self._cums[state] = np.cumsum(probs).tolist()
 
-    def sample(self, state: str, rng: np.random.Generator) -> str:
+    def sample(self, state: str, rng: ScalarStream) -> str:
+        """Draw one action of ``state``'s row with one ``rng.random()``."""
         if state not in self._cums:
             raise ControllerError(f"unknown state {state!r}")
-        idx = int(np.searchsorted(self._cums[state], rng.random(), side="right"))
+        idx = bisect_right(self._cums[state], rng.random())
         return self.actions[min(idx, len(self.actions) - 1)]
 
     def decide(self, observation, context, rng) -> tuple[str, str]:

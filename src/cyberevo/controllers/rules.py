@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..errors import ControllerError
 from ..grammar.ast import (
     ActionAssign,
@@ -28,6 +26,7 @@ from ..grammar.ast import (
 from ..grammar.model import Grammar
 from ..scenario.actions import is_legal
 from ..scenario.observations import Observation
+from ..seeds import ScalarStream
 from .base import FIRST_TARGET, LAST_TARGET, RANDOM_TARGET, TARGET_HEURISTICS
 
 DEFAULT_ACTION = "Sleep"
@@ -41,12 +40,13 @@ OBSERVATION_FUNCTIONS = (
 
 
 def resolve_target(
-    heuristic: str, hosts: Sequence[str], rng: np.random.Generator
+    heuristic: str, hosts: Sequence[str], rng: ScalarStream
 ) -> Optional[str]:
     """Pick a concrete target from an ordered candidate list.
 
-    ``first_target`` is the oldest entry, ``last_target`` the newest;
-    an empty candidate list resolves to None.
+    ``first_target`` is the oldest entry, ``last_target`` the newest and
+    ``random_target`` draws one ``rng.integers`` over the list; an empty
+    candidate list resolves to None.
     """
     if heuristic not in TARGET_HEURISTICS:
         raise ControllerError(f"unknown target heuristic {heuristic!r}")
@@ -126,7 +126,7 @@ class RuleController:
         _validate_statements(self.ast.target_statements, self.side, "target section")
 
     def decide(
-        self, observation: Observation, context, rng: np.random.Generator
+        self, observation: Observation, context, rng: ScalarStream
     ) -> tuple[str, str]:
         action = DEFAULT_ACTION
         heuristic = self.default_heuristic

@@ -4,7 +4,9 @@ A team is a sequence of controllers indexed by agent slot.  A length-1
 team is broadcast: every agent of that side shares the single
 controller.  Target heuristics returned by controllers are resolved
 here, from the candidate list the agent's decision context gives for
-the chosen action.
+the chosen action.  Every decision and target draw of an episode comes
+from its controller stream, the `ScalarStream` of
+``(seed, STREAM_CONTROLLER)``.
 """
 
 from __future__ import annotations
@@ -12,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .controllers.base import Controller
 from .controllers.rules import resolve_target
 from .scenario.actions import TARGET_KINDS, TARGET_NONE
 from .scenario.config import ScenarioConfig
 from .scenario.engine import BLUE_AGENT_ZONES, AgentContext, ScenarioSim
-from .seeds import STREAM_CONTROLLER, spawn_generator
+from .seeds import STREAM_CONTROLLER, ScalarStream, spawn_stream
 
 BLUE_AGENT_ORDER = tuple(name for name, _ in BLUE_AGENT_ZONES)
 _BLUE_SLOTS = {name: i for i, name in enumerate(BLUE_AGENT_ORDER)}
@@ -44,7 +44,7 @@ def resolve_heuristic_target(
     action: str,
     heuristic: str,
     context: AgentContext,
-    rng: np.random.Generator,
+    rng: ScalarStream,
 ) -> Optional[str]:
     """Turn a (action, heuristic) decision into a concrete target."""
     if TARGET_KINDS[action] == TARGET_NONE:
@@ -71,7 +71,7 @@ def run_episode(
 ) -> EpisodeResult:
     """Simulate one episode and return the summed zero-sum rewards."""
     sim = ScenarioSim(config, seed)
-    rng = spawn_generator(seed, STREAM_CONTROLLER)
+    rng = spawn_stream(seed, STREAM_CONTROLLER)
     observations = sim.initial_observations()
     horizon = config.steps if steps is None else min(steps, config.steps)
     blue_rewards: list[float] = []

@@ -21,7 +21,7 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from .episodes import Team
-from .errors import ProgramParseError
+from .errors import GrammarParseError, ProgramParseError
 from .grammar.ast import RuleAst
 from .grammar.mapping import build_ast
 from .grammar.model import Grammar
@@ -109,23 +109,29 @@ class ExpandingMockClient:
     mutated program stays inside the grammar while its behavior (the
     final action assignment wins) actually changes.  Without an explicit
     grammar the client reads the one embedded in each prompt, so a
-    single instance serves prompts from either side.
+    single instance serves prompts from either side; each distinct
+    grammar section is parsed once.
     """
 
     def __init__(self, grammar: Optional[Grammar] = None, seed: int = 0):
         self._actions = grammar.action_terminals() if grammar is not None else None
         self._rng = np.random.default_rng(seed)
+        self._actions_by_section: dict[str, tuple[str, ...]] = {}
 
     def _legal_actions(self, prompt: str) -> tuple[str, ...]:
         if self._actions is not None:
             return self._actions
         from .grammar.parse import parse_grammar
 
-        try:
-            section = prompt.split(GRAMMAR_HEADER, 1)[1].split(PROGRAM_HEADER, 1)[0]
-            return parse_grammar(section.strip()).action_terminals()
-        except Exception as exc:
-            raise ValueError(f"prompt carries no readable grammar: {exc}") from exc
+        section = prompt.partition(GRAMMAR_HEADER)[2].partition(PROGRAM_HEADER)[0].strip()
+        actions = self._actions_by_section.get(section)
+        if actions is None:
+            try:
+                actions = parse_grammar(section).action_terminals()
+            except GrammarParseError as exc:
+                raise ValueError(f"prompt carries no readable grammar: {exc}") from exc
+            self._actions_by_section[section] = actions
+        return actions
 
     def complete(self, prompt: str) -> CompletionResult:
         program = extract_code(prompt)

@@ -4,7 +4,7 @@ One `ScenarioSim` owns the full network state and advances it one step
 at a time.  Controllers never touch the state directly: they receive an
 `Observation` plus an `AgentContext` and answer with an action name and
 a target heuristic.  Everything stochastic flows through the episode
-generator, so identical seeds replay identical trajectories.
+scenario stream, so identical seeds replay identical trajectories.
 
 Observations are built once per step, inside `step`.  The decision
 context computes nothing up front: a matrix controller's classifier asks
@@ -30,10 +30,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-import numpy as np
-
 from ..errors import SimulationFault
-from ..seeds import STREAM_TOPOLOGY, derive_seed, spawn_generator
+from ..seeds import STREAM_TOPOLOGY, ScalarStream, derive_seed, spawn_stream
 from . import actions as act
 from .config import ScenarioConfig
 from .observations import FALSE, TRUE, UNKNOWN, Observation
@@ -242,13 +240,14 @@ class ScenarioSim:
         self.config = config
         self.seed = seed
         self.topology = topology or generate_topology(derive_seed(seed, STREAM_TOPOLOGY), config.bounds)
-        self.rng: np.random.Generator = spawn_generator(seed)
+        self.rng: ScalarStream = spawn_stream(seed)
         self.step_index = 0
         self.hosts: dict[str, HostRuntime] = {h: HostRuntime() for h in self.topology.hosts}
         self.blocked: set[tuple[str, str]] = set()
         self._reach = zone_reachable(self.blocked)
         self._reach_dirty = False
         self.red_agents: list[RedAgent | None] = [None] * config.red_slots
+        self._red_slots = {f"red_{slot}": slot for slot in range(config.red_slots)}
         self.blue_agents: dict[str, BlueAgent] = {}
         self._detections: list[tuple[str, str]] = []
         self._zone_failures: dict[str, int] = {}
@@ -269,7 +268,7 @@ class ScenarioSim:
 
     def _spawn_initial_agents(self):
         contractor_hosts = self.topology.hosts_by_zone["contractor_uav"]
-        entry = contractor_hosts[int(self.rng.integers(len(contractor_hosts)))]
+        entry = contractor_hosts[self.rng.integers(len(contractor_hosts))]
         self.red_agents[0] = RedAgent("red_0", 0, "contractor_uav", entry, anchor=True)
         self.hosts[entry].red_level = USER_LEVEL
         for name, zones in BLUE_AGENT_ZONES:
@@ -297,12 +296,13 @@ class ScenarioSim:
         return act.BLUE if name in self.blue_agents else act.RED
 
     def _agent(self, name: str):
-        if name in self.blue_agents:
-            return self.blue_agents[name]
-        for agent in self.red_agents:
-            if agent is not None and agent.name == name:
-                return agent
-        raise SimulationFault(f"unknown agent {name!r}")
+        agent = self.blue_agents.get(name)
+        if agent is None:
+            slot = self._red_slots.get(name)
+            agent = None if slot is None else self.red_agents[slot]
+        if agent is None:
+            raise SimulationFault(f"unknown agent {name!r}")
+        return agent
 
     def _red_in_zone(self, zone: str) -> RedAgent | None:
         for agent in self.red_agents:
@@ -637,7 +637,7 @@ class ScenarioSim:
             if slot is None:
                 continue
             users = [h for h in self.topology.hosts_by_zone[zone] if not self.topology.hosts[h].server]
-            entry = users[int(self.rng.integers(len(users)))]
+            entry = users[self.rng.integers(len(users))]
             self._spawn_red(slot, zone, entry)
 
     def _run_greens(self, events: list[StepEvent]):
@@ -653,7 +653,7 @@ class ScenarioSim:
                 continue
             target = host_id
             while target == host_id:
-                target = services[bisect_right(cumsum, int(integers(total)))]
+                target = services[bisect_right(cumsum, integers(total))]
             self._green_access(host_id, target, events)
 
     def _green_access(self, green_host: str, target: str, events: list[StepEvent]):

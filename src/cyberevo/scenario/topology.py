@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import ScenarioConfigError
-from ..seeds import spawn_generator
+from ..seeds import spawn_stream
 
 INTERNET = "internet"
 
@@ -106,7 +104,7 @@ class Topology:
 
 def generate_topology(seed: int, bounds: TopologyBounds = TopologyBounds()) -> Topology:
     """Generate a random topology; identical seeds give identical results."""
-    rng = spawn_generator(seed)
+    rng = spawn_stream(seed)
     hosts: dict[str, Host] = {}
     for zone in HOST_ZONES:
         n_servers = int(rng.integers(bounds.servers[0], bounds.servers[1] + 1))

@@ -1,6 +1,6 @@
 """Deterministic seed derivation.
 
-Every stochastic component draws from a numpy Generator built out of an
+Every stochastic component draws from a PCG64 stream built out of an
 explicit tuple of integer seed parts.  The same parts always yield the
 same stream, independent of platform, process or scheduling, which is
 what makes traces byte-reproducible.
@@ -15,9 +15,18 @@ Conventions used across the package:
   (0 red, 1 blue) under coevolution
 
 where ``i``/``j`` are individual indices (``j`` is 0 for one-sided runs).
+
+The three streams an episode owns (topology, scenario, controller) are
+`ScalarStream`s from `spawn_stream`: they draw one scalar at a time, and
+reproduce numpy's ``Generator.random()`` and ``Generator.integers()``
+bit for bit from the generator's raw 64-bit words, without numpy's
+per-call overhead.  Variation draws arrays and keeps a numpy Generator
+from `spawn_generator`.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -25,6 +34,12 @@ STREAM_TOPOLOGY = 101
 STREAM_EPISODE = 202
 STREAM_VARIATION = 303
 STREAM_CONTROLLER = 404
+
+# Raw words read from the bit generator at a time.
+_BLOCK = 256
+_UNIT = 2.0**-53
+_LOW32 = 0xFFFFFFFF
+_SPAN32 = 1 << 32
 
 
 def _clean(parts: tuple[int, ...]) -> list[int]:
@@ -36,6 +51,63 @@ def spawn_generator(*parts: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_clean(parts))))
 
 
+def spawn_stream(*parts: int) -> ScalarStream:
+    """The `ScalarStream` of `spawn_generator(*parts)`."""
+    return ScalarStream(spawn_generator(*parts))
+
+
 def derive_seed(*parts: int) -> int:
     """Collapse seed parts into a single 32-bit integer seed."""
     return int(np.random.SeedSequence(_clean(parts)).generate_state(1)[0])
+
+
+class ScalarStream:
+    """A PCG64 Generator's scalar ``random()`` and ``integers()``, in Python.
+
+    Each call returns exactly what the same call on the wrapped
+    Generator would have returned, in the same order:
+
+    * ``random()`` is ``(w >> 11) * 2**-53`` on the next raw word ``w``;
+    * ``integers(low, high)`` is Lemire's bounded draw on 32-bit
+      half-words: the low half of a fresh word first, its high half
+      buffered for the next half-word draw (PCG64's ``has_uint32`` and
+      ``uinteger``), redrawing while the product's low 32 bits fall
+      below ``(2**32 - span) % span``.  A span of 1 draws nothing.
+
+    Spans up to ``2**32`` are supported.  The stream reads the bit
+    generator ahead in blocks, so the wrapped Generator must not be
+    used once it is wrapped.
+    """
+
+    def __init__(self, generator: np.random.Generator):
+        bit_generator = generator.bit_generator
+        state = bit_generator.state
+        self._half: int | None = state["uinteger"] if state["has_uint32"] else None
+        blocks = map(np.ndarray.tolist, map(bit_generator.random_raw, repeat(_BLOCK)))
+        self._next_word = chain.from_iterable(blocks).__next__
+
+    def random(self) -> float:
+        """A float in [0, 1), as ``Generator.random()``."""
+        return (self._next_word() >> 11) * _UNIT
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """An int in [low, high), or [0, low) without ``high``, as ``Generator.integers``."""
+        if high is None:
+            low, high = 0, low
+        span = high - low
+        if span == 1:
+            return low
+        if not 1 < span <= _SPAN32:
+            raise ValueError(f"integers({low}, {high}): span {span} is not in [1, 2**32]")
+        threshold = (_SPAN32 - span) % span
+        while True:
+            half = self._half
+            if half is None:
+                word = self._next_word()
+                self._half = word >> 32
+                half = word & _LOW32
+            else:
+                self._half = None
+            product = half * span
+            if product & _LOW32 >= threshold:
+                return low + (product >> 32)

@@ -150,6 +150,22 @@ def test_submission_for_a_deactivated_red_slot_raises():
         step_with(sim, {"red_1": ("Sleep", None)})
 
 
+def test_agent_context_finds_live_agents_and_rejects_other_names():
+    sim = ScenarioSim(quiet_config(), seed=3)
+    host = sim.topology.user_hosts()[-1]
+    plant_red(sim, 2, sim.topology.hosts[host].zone, host)
+    for name in ("blue_hq", "red_0", "red_2"):
+        assert sim.agent_context(name).agent.name == name
+    assert sim.agent_context("red_2").agent is sim.red_agents[2]
+    for name in ("red_1", "red_02", f"red_{sim.config.red_slots}", "red_-1", "ghost", "red"):
+        with pytest.raises(SimulationFault, match="unknown agent"):
+            sim.agent_context(name)
+    step_with(sim, {"red_2": ("Withdraw", host)})
+    assert sim.red_agents[2] is None
+    with pytest.raises(SimulationFault, match="red_2"):
+        sim.agent_context("red_2")
+
+
 def test_unknown_names_raise_before_any_submission_applies():
     sim = ScenarioSim(quiet_config(), seed=3)
     submissions = {

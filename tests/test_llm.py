@@ -122,6 +122,25 @@ def test_expanding_mock_reads_the_grammar_from_the_prompt():
         client.complete("a prompt without any grammar section")
 
 
+
+def test_expanding_mock_parses_each_grammar_section_once(monkeypatch):
+    import cyberevo.grammar.parse as parse_module
+
+    sections = []
+    real_parse = parse_module.parse_grammar
+    monkeypatch.setattr(
+        parse_module, "parse_grammar", lambda text: sections.append(text) or real_parse(text)
+    )
+    red_grammar = load_grammar("red")
+    red_text = MONITOR_TEXT.replace("Monitor", "Impact")
+    prompts = [build_prompt(GRAMMAR, MONITOR_TEXT), build_prompt(red_grammar, red_text)] * 5
+    reader = ExpandingMockClient(seed=4)
+    for i, prompt in enumerate(prompts):
+        appended = reader.complete(prompt).text.splitlines()[-4].split(" = ")[1]
+        assert appended in (GRAMMAR if i % 2 == 0 else red_grammar).action_terminals()
+    assert len(sections) == 2
+
+
 # ---------------------------------------------------------------------------
 # llm_mutate outcomes and stats
 

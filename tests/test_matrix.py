@@ -133,6 +133,33 @@ def test_sample_frequencies_track_probabilities():
         assert abs(counts[action] - n * p) <= 3 * sigma + 1e-9, action
 
 
+class FixedDraw:
+    """A stream whose every ``random()`` returns one value."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
+@pytest.mark.parametrize("row", [
+    [0.3, 0, 0.1, 0.2, 0, 0.15, 0.25],
+    [1.0] * 7,  # its cumulative sum ends just short of 1
+    [0, 0, 0, 0, 0, 0, 1.0],
+])
+def test_sample_index_is_searchsorted_right_for_every_draw(row):
+    rows = blue_rows(0.0)
+    rows["SN"] = row
+    controller = MatrixController("blue", rows)
+    cums = np.cumsum(controller.rows["SN"])
+    cut_points = [v for c in cums for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))]
+    draws = [0.0, np.nextafter(1.0, 0.0), *cut_points, *np.random.default_rng(11).random(100_000)]
+    expected = np.minimum(np.searchsorted(cums, draws, side="right"), len(BLUE_MATRIX_ACTIONS) - 1)
+    for x, index in zip(draws, expected):
+        assert controller.sample("SN", FixedDraw(float(x))) == BLUE_MATRIX_ACTIONS[index], x
+
+
 def test_decide_classifies_then_samples():
     rows = blue_rows(0.0)
     rows["DM"] = [0, 0, 0, 0, 0, 0, 1.0]  # all mass on the last action

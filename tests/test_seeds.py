@@ -1,8 +1,15 @@
-"""Seed derivation: deterministic, order-sensitive, masked to 64 bits."""
+"""Seed derivation: deterministic, order-sensitive, masked to 64 bits.
+
+The scalar streams must reproduce numpy's Generator draw for draw; a
+mismatch names the first draw that differs.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyberevo.evolution import episode_seeds
 from cyberevo.seeds import (
@@ -10,8 +17,10 @@ from cyberevo.seeds import (
     STREAM_EPISODE,
     STREAM_TOPOLOGY,
     STREAM_VARIATION,
+    ScalarStream,
     derive_seed,
     spawn_generator,
+    spawn_stream,
 )
 
 
@@ -65,3 +74,71 @@ def test_episode_seeds_differ_across_pairings():
     c = episode_seeds(1000, 0, 0, 0, 1, 2)
     d = episode_seeds(1000, 0, 1, 0, 0, 2)
     assert len({tuple(a), tuple(b), tuple(c), tuple(d)}) == 4
+
+
+# ---------------------------------------------------------------------------
+# ScalarStream against numpy's Generator
+
+EDGE_SPANS = (1, 2, 3, 180, 2**31 + 5, 2**32 - 1, 2**32)
+
+spans = st.one_of(st.sampled_from(EDGE_SPANS), st.integers(1, 2**32))
+draws = st.one_of(
+    st.just(("random",)),
+    st.tuples(st.just("integers"), spans),
+    st.tuples(st.just("integers"), st.integers(-(2**40), 2**40), spans).map(
+        lambda d: (d[0], d[1], d[1] + d[2])
+    ),
+)
+
+
+def assert_same_draws(generator, stream, sequence):
+    """Replay ``sequence`` on both; fail at the first draw that differs."""
+    for index, (method, *args) in enumerate(sequence):
+        expected = getattr(generator, method)(*args)
+        got = getattr(stream, method)(*args)
+        call = f"{method}({', '.join(map(str, args))})"
+        assert got == expected and type(got) is (int if method == "integers" else float), (
+            f"draw {index}, {call}: numpy gave {expected!r}, the stream gave {got!r}"
+        )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    before=st.lists(draws, max_size=3),
+    sequence=st.lists(draws, max_size=700),
+)
+def test_stream_matches_numpy_draw_for_draw(seed, before, sequence):
+    """``before`` runs on both Generators first, so the wrapped one may
+    hold a buffered half-word."""
+    generator, wrapped = spawn_generator(seed, 9), spawn_generator(seed, 9)
+    for method, *args in before:
+        getattr(generator, method)(*args)
+        getattr(wrapped, method)(*args)
+    assert_same_draws(generator, ScalarStream(wrapped), sequence)
+
+
+def test_stream_matches_numpy_over_many_blocks_at_every_edge_span():
+    sequence = [("random",)] * 300
+    for span in EDGE_SPANS:
+        sequence += [("integers", span), ("random",), ("integers", -7, span - 7)] * 100
+    assert_same_draws(spawn_generator(3, 1), spawn_stream(3, 1), sequence)
+
+
+def test_stream_starts_from_a_half_word_already_buffered():
+    generator, wrapped = spawn_generator(5, 2), spawn_generator(5, 2)
+    for g in (generator, wrapped):
+        g.random()
+        g.integers(180)  # uses the low half of a word, buffers its high half
+    assert wrapped.bit_generator.state["has_uint32"] == 1
+    # A span of 2**32 returns the buffered half-word itself.
+    sequence = [("random",), ("integers", 2**32)] + [("integers", 3), ("random",)] * 80
+    assert_same_draws(generator, ScalarStream(wrapped), sequence)
+
+
+@pytest.mark.parametrize("args", [(0,), (5, 5), (5, 3), (0, 2**32 + 1), (2**32 + 1,)])
+def test_stream_rejects_empty_or_too_wide_ranges(args):
+    stream = spawn_stream(1)
+    with pytest.raises(ValueError):
+        stream.integers(*args)
+    assert_same_draws(spawn_generator(1), stream, [("random",), ("integers", 180)])
