@@ -22,7 +22,7 @@ class GrammarParseError(CyberevoError):
 
 
 class GrammarVariantError(CyberevoError):
-    """A variant transformation was applied to an unsuitable base grammar."""
+    """A packaged grammar was requested for an unknown side."""
 
 
 class ProgramParseError(CyberevoError):

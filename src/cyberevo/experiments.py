@@ -184,6 +184,11 @@ def run_experiment(
 ) -> ExperimentOutcome:
     """Run one named experiment and write its CSV + metadata artifacts."""
     spec = get_experiment(experiment) if isinstance(experiment, str) else experiment
+    if spec.variant is not Variant.BASELINE and spec.algorithm not in ("GE", "GE-LLM"):
+        raise ExperimentSpecError(
+            f"{spec.name}: grammar variant {spec.variant.value!r} needs a GE or GE-LLM "
+            f"experiment, not {spec.algorithm}"
+        )
     scenario = scenario if scenario is not None else ScenarioConfig()
     if evo is None:
         evo = EvoConfig(controllers_per_team=spec.controllers_per_team)

@@ -14,7 +14,7 @@ from .mapping import MAX_WRAPS, MappingResult, build_ast, map_genome, tree_termi
 from .model import DerivNode, Grammar, NonTerminal, Terminal
 from .parse import parse_grammar
 from .program import parse_program, render_program
-from .variants import Variant, build_variant, grammar_asset_name, load_grammar
+from .variants import Variant, grammar_asset_name, load_grammar
 
 __all__ = [
     "ActionAssign",
@@ -33,7 +33,6 @@ __all__ = [
     "Terminal",
     "Variant",
     "build_ast",
-    "build_variant",
     "grammar_asset_name",
     "load_grammar",
     "map_genome",

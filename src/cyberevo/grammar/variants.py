@@ -1,17 +1,18 @@
 """Controller-grammar variants.
 
-Starting from a baseline grammar whose target line is hardcoded to the
-random heuristic, the variants either swap in a different fixed
-heuristic, open target selection up to evolved conditional statements,
-or widen the observation set:
+Each (side, variant) grammar is one packaged file,
+``data/<side>_<variant>.grammar``, parsed at load time; the files are
+the definition. Relative to the baseline, whose target line hardcodes
+the random heuristic:
 
-- ``TR`` / ``TN`` / ``TO``: fixed random / newest / oldest target.
-  "Newest" is the most recently learned entry of the ordered known-host
-  list, "oldest" the first.
-- ``TC``: replaces the fixed target line with an evolvable block of
-  conditional target assignments.
-- ``OE``: adds three observation functions (connection, user-file and
-  root-file counts) to the baseline two.
+- ``TR``: the same grammar as the baseline (fixed random target).
+- ``TN``: the target line fixes the newest target, the most recently
+  learned entry of the ordered known-host list.
+- ``TO``: the target line fixes the oldest target, the list's first entry.
+- ``TC``: the target line becomes ``#Select target`` and an evolvable
+  block of conditional target assignments (``th_statements``).
+- ``OE``: ``EXTRA_OBSERVATIONS`` (connection, user-file and root-file
+  counts) come before the baseline's two observations.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 from importlib import resources
 
 from ..errors import GrammarVariantError
-from .model import Grammar, NonTerminal, Production, Terminal
+from .model import Grammar
 from .parse import parse_grammar
 
 SIDES = ("red", "blue")
@@ -36,99 +37,11 @@ class Variant(str, Enum):
     OE = "oe"
 
 
-_FIXED_TARGET_OF = {
-    Variant.TR: "random_target",
-    Variant.TN: "last_target",
-    Variant.TO: "first_target",
-}
-
 EXTRA_OBSERVATIONS = (
     "connections(observation)",
     "files_user(observation)",
     "files_root(observation)",
 )
-
-_TARGET_RULES: dict[str, tuple[Production, ...]] = {
-    "th_statements": (
-        (NonTerminal("th_statement"),),
-        (NonTerminal("th_statement"), NonTerminal("th_statements")),
-    ),
-    "th_statement": (
-        (
-            Terminal("if"),
-            NonTerminal("conditions"),
-            Terminal(":"),
-            NonTerminal("th_statement"),
-        ),
-        (Terminal("target_heuristic ="), NonTerminal("target_heuristic")),
-    ),
-    "target_heuristic": (
-        (Terminal("random_target"),),
-        (Terminal("first_target"),),
-        (Terminal("last_target"),),
-    ),
-}
-
-
-def _check_baseline(grammar: Grammar) -> None:
-    if not grammar.is_controller_grammar():
-        raise GrammarVariantError("variant transforms need a controller grammar")
-    if grammar.has_target_section():
-        raise GrammarVariantError("baseline grammar must not already evolve targets")
-    if grammar.fixed_target() != "random_target":
-        raise GrammarVariantError("baseline grammar must hardcode the random target")
-    observations = grammar.rules["observations"]
-    if len(observations) != 2:
-        raise GrammarVariantError(
-            f"baseline grammar must offer exactly 2 observations, found {len(observations)}"
-        )
-
-
-def _swap_fixed_target(grammar: Grammar, heuristic: str) -> Grammar:
-    sections = tuple(
-        Terminal(f"target_heuristic = {heuristic}")
-        if isinstance(symbol, Terminal) and symbol.value.startswith("target_heuristic")
-        else symbol
-        for symbol in grammar.rules[grammar.start][0]
-    )
-    rules = dict(grammar.rules)
-    rules[grammar.start] = (sections,)
-    return Grammar(rules=rules, start=grammar.start)
-
-
-def _open_target_section(grammar: Grammar) -> Grammar:
-    sections: list = []
-    for symbol in grammar.rules[grammar.start][0]:
-        if isinstance(symbol, Terminal) and symbol.value.startswith("target_heuristic"):
-            sections.append(Terminal("#Select target"))
-            sections.append(NonTerminal("th_statements"))
-        else:
-            sections.append(symbol)
-    rules = dict(grammar.rules)
-    rules[grammar.start] = (tuple(sections),)
-    rules.update(_TARGET_RULES)
-    return Grammar(rules=rules, start=grammar.start)
-
-
-def _widen_observations(grammar: Grammar) -> Grammar:
-    extra = tuple((Terminal(text),) for text in EXTRA_OBSERVATIONS)
-    rules = dict(grammar.rules)
-    rules["observations"] = extra + rules["observations"]
-    return Grammar(rules=rules, start=grammar.start)
-
-
-def build_variant(baseline: Grammar, variant: Variant) -> Grammar:
-    """Derive `variant` from a `baseline` controller grammar."""
-    _check_baseline(baseline)
-    if variant is Variant.BASELINE:
-        return Grammar(rules=dict(baseline.rules), start=baseline.start)
-    if variant in _FIXED_TARGET_OF:
-        return _swap_fixed_target(baseline, _FIXED_TARGET_OF[variant])
-    if variant is Variant.TC:
-        return _open_target_section(baseline)
-    if variant is Variant.OE:
-        return _widen_observations(baseline)
-    raise GrammarVariantError(f"unknown variant {variant!r}")
 
 
 def grammar_asset_name(side: str, variant: Variant | str = Variant.BASELINE) -> str:

@@ -333,6 +333,24 @@ def test_a_rejected_spec_leaves_no_output_directory(tmp_path):
     assert not out.exists()
 
 
+def test_a_grammar_variant_on_a_matrix_experiment_is_rejected(tmp_path, capsys):
+    # ES and GA decoders ignore the variant, so the metadata would lie about it
+    out = tmp_path / "out"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "experiment": "ES-B", "variant": "tc", "iterations": 1, "trials": 1,
+        "population_size": 2, "repetitions": 1, "steps": 6,
+    }))
+    assert main(["run", str(spec), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'tc'" in err
+    assert not out.exists()
+    ga_tc = dataclasses.replace(get_experiment("GA-B"), variant=Variant.TC)
+    with pytest.raises(ExperimentSpecError, match="GE or GE-LLM"):
+        run_experiment(ga_tc, str(out), evo=SMALL_EVO, scenario=TINY)
+    assert not out.exists()
+
+
 def test_cli_summarize(tmp_path, capsys):
     path = write_trace(tmp_path / "ES-B.csv", [
         (0, 0, "blue", "ES-B", -12.0, -20.0, 20),

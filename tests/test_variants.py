@@ -1,18 +1,19 @@
-"""Grammar variant transforms: fixed targets, evolved targets, wider senses."""
+"""Packaged grammar variants: fixed targets, evolved targets, wider senses."""
 
 from __future__ import annotations
+
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from cyberevo.errors import GrammarVariantError
 from cyberevo.grammar.ast import IfStatement, TargetAssign
-from cyberevo.grammar.model import Terminal
-from cyberevo.grammar.parse import parse_grammar
+from cyberevo.grammar.model import NonTerminal, Terminal
 from cyberevo.grammar.variants import (
     EXTRA_OBSERVATIONS,
+    SIDES,
     Variant,
-    build_variant,
     grammar_asset_name,
     load_grammar,
 )
@@ -27,12 +28,28 @@ FIXED_TARGET_VARIANTS = {
 }
 
 
-def test_packaged_assets_match_the_programmatic_transforms():
-    for side in ("red", "blue"):
-        baseline = load_grammar(side)
+BASELINE_TARGET = Terminal("target_heuristic = random_target")
+
+
+def without_start(grammar):
+    return {name: rule for name, rule in grammar.rules.items() if name != grammar.start}
+
+
+def baseline_sections_around_target(side):
+    """The baseline's start production split at its fixed target terminal."""
+    baseline = load_grammar(side)
+    (sections,) = baseline.productions(baseline.start)
+    at = sections.index(BASELINE_TARGET)
+    return sections[:at], sections[at + 1:]
+
+
+def test_packaged_files_render_back_byte_for_byte():
+    # The LLM prompt embeds to_text(), so rule and alternative order matter.
+    for side in SIDES:
         for variant in ALL_VARIANTS:
-            assert load_grammar(side, variant).rules == build_variant(baseline, variant).rules, (
-                side, variant)
+            name = grammar_asset_name(side, variant)
+            text = resources.files("cyberevo.grammar").joinpath(f"data/{name}").read_text()
+            assert load_grammar(side, variant).to_text() == text, name
 
 
 def test_baseline_and_tr_are_the_same_language():
@@ -42,10 +59,17 @@ def test_baseline_and_tr_are_the_same_language():
 
 def test_fixed_target_variants_hardcode_their_heuristic():
     for side in ("red", "blue"):
+        baseline = load_grammar(side)
+        before, after = baseline_sections_around_target(side)
         for variant, heuristic in FIXED_TARGET_VARIANTS.items():
             grammar = load_grammar(side, variant)
             assert grammar.fixed_target() == heuristic, (side, variant)
             assert not grammar.has_target_section()
+            # only the target terminal of the start rule differs from the baseline
+            assert grammar.start == baseline.start
+            assert without_start(grammar) == without_start(baseline), (side, variant)
+            swapped = Terminal(f"target_heuristic = {heuristic}")
+            assert grammar.productions(grammar.start) == (before + (swapped,) + after,)
 
 
 def test_tc_opens_the_target_section():
@@ -59,6 +83,19 @@ def test_tc_opens_the_target_section():
         assert tc.has_target_section()
         section = tc.productions(tc.start)[0]
         assert Terminal("#Select target") in section
+        before, after = baseline_sections_around_target(side)
+        opened = (Terminal("#Select target"), NonTerminal("th_statements"))
+        assert tc.start == baseline.start
+        assert tc.productions(tc.start) == (before + opened + after,)
+        assert tc.productions("th_statements") == (
+            (NonTerminal("th_statement"),),
+            (NonTerminal("th_statement"), NonTerminal("th_statements")),
+        )
+        assert tc.productions("th_statement") == (
+            (Terminal("if"), NonTerminal("conditions"), Terminal(":"),
+             NonTerminal("th_statement")),
+            (Terminal("target_heuristic ="), NonTerminal("target_heuristic")),
+        )
         heuristics = [p[0].value for p in tc.productions("target_heuristic")]
         assert heuristics == ["random_target", "first_target", "last_target"]
         # everything below the scaffold is untouched
@@ -115,16 +152,6 @@ def test_tc_actually_evolves_target_choices():
         if outcome.valid:
             heuristics.update(leaf_heuristics(outcome.ast.target_statements))
     assert len(heuristics) >= 2  # the section is genuinely under evolutionary control
-
-
-def test_transforms_reject_unsuitable_baselines():
-    toy = parse_grammar('s: "x"\n')
-    with pytest.raises(GrammarVariantError):
-        build_variant(toy, Variant.TN)
-    baseline = load_grammar("blue")
-    for spoiled in (Variant.TN, Variant.TC, Variant.OE):
-        with pytest.raises(GrammarVariantError):
-            build_variant(build_variant(baseline, spoiled), Variant.TC)
 
 
 def test_asset_names_and_variant_coercion():
