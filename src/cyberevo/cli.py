@@ -18,7 +18,6 @@ from .experiments import (
     run_experiment,
     summarize_traces,
 )
-from .grammar.variants import Variant
 from .scenario.config import ScenarioConfig
 
 
@@ -90,7 +89,7 @@ def _run(args) -> int:
     settings = _settings_for(args)
     spec = get_experiment(settings.experiment)
     if settings.variant is not None:
-        spec = dataclasses.replace(spec, variant=Variant(settings.variant))
+        spec = dataclasses.replace(spec, variant=settings.variant)
     if settings.controllers_per_team is not None:
         spec = dataclasses.replace(
             spec, controllers_per_team=settings.controllers_per_team

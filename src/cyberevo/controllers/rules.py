@@ -5,6 +5,10 @@ statements.  Each decision evaluates every statement top to bottom; the
 last executed assignment to the action (and, when present, to the
 target heuristic) wins.  Unassigned slots fall back to Sleep and the
 controller's default heuristic.
+
+A decision reads only the observation, never the decision context or
+the stream, so each controller memoizes its decisions by observation.
+The controller is frozen, so its program cannot change under the memo.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ def _validate_statements(
             raise ControllerError(f"{label}: unsupported statement {node!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuleController:
     """Decision-tree controller for one agent slot."""
 
@@ -114,6 +118,9 @@ class RuleController:
     side: str
     default_heuristic: str = RANDOM_TARGET
     grammar: Optional[Grammar] = field(default=None, repr=False, compare=False)
+    _decisions: dict[Observation, tuple[str, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.side not in ("red", "blue"):
@@ -128,6 +135,13 @@ class RuleController:
     def decide(
         self, observation: Observation, context, rng: ScalarStream
     ) -> tuple[str, str]:
+        decision = self._decisions.get(observation)
+        if decision is None:
+            decision = self._decisions[observation] = self._walk(observation)
+        return decision
+
+    def _walk(self, observation: Observation) -> tuple[str, str]:
+        """Run the program on one observation: the decision `decide` memoizes."""
         action = DEFAULT_ACTION
         heuristic = self.default_heuristic
         for statement in _walk_fired(self.ast.action_statements, observation):

@@ -75,11 +75,15 @@ def run_episode(
     observations = sim.initial_observations()
     horizon = config.steps if steps is None else min(steps, config.steps)
     blue_rewards: list[float] = []
+    teams = {"blue": blue_team, "red": red_team}
+    controllers: dict[str, Controller] = {}  # by agent name, looked up once
     for _ in range(horizon):
         submissions: dict[str, tuple[str, Optional[str]]] = {}
         for agent in sim.idle_agents():
             name = agent.name
-            controller = controller_for(blue_team if agent.side == "blue" else red_team, name)
+            controller = controllers.get(name)
+            if controller is None:
+                controller = controllers[name] = controller_for(teams[agent.side], name)
             context = sim.agent_context(name)
             action, heuristic = controller.decide(observations[name], context, rng)
             target = resolve_heuristic_target(action, heuristic, context, rng)

@@ -49,6 +49,16 @@ class ExperimentSpec:
     controllers_per_team: str = "one"
     description: str = ""
 
+    def __post_init__(self) -> None:
+        # A variant given by name ("tc") becomes the Variant member.
+        try:
+            object.__setattr__(self, "variant", Variant(self.variant))
+        except ValueError as exc:
+            known = ", ".join(v.value for v in Variant)
+            raise ExperimentSpecError(
+                f"{self.name}: unknown grammar variant {self.variant!r}; known: {known}"
+            ) from exc
+
 
 def _registry() -> dict[str, ExperimentSpec]:
     specs: list[ExperimentSpec] = []

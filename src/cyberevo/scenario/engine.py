@@ -17,18 +17,18 @@ agents before red ones, pending actions tick down, blue completions
 apply before red completions, the red team's automatic spawns roll,
 green users act, rewards are scored and observations are rebuilt.
 
-The green users' draws are part of the seed contract.  Each green host,
-in topology order, draws one `random()` to choose local work; otherwise
-it draws `integers(total)` over every service the network offers,
-again until the service is not on its own host, and an access that
-reaches a compromised host draws one more `random()` for a red spawn.
+The green users' draws are part of the seed contract.  The service
+table lists one entry per service the network offers, in topology order,
+so a host appears once for each service it runs.  Each green host, in
+topology order, draws one `random()` to choose local work; otherwise it
+draws `integers(len(table))`, an index into the service table, again
+until the service is not on its own host, and an access that reaches a
+compromised host draws one more `random()` for a red spawn.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 from ..errors import SimulationFault
 from ..seeds import STREAM_TOPOLOGY, ScalarStream, derive_seed, spawn_stream
@@ -43,7 +43,15 @@ from .rewards import (
     phase_of,
     reward_for,
 )
-from .topology import HOST_ZONES, INTERNET, ZONES, Topology, generate_topology, zone_reachable
+from .topology import (
+    HOST_ZONES,
+    INTERNET,
+    REWARD_ZONE_OF,
+    ZONES,
+    Topology,
+    generate_topology,
+    zone_reachable,
+)
 
 NO_COMPROMISE = 0
 USER_LEVEL = 1
@@ -52,6 +60,16 @@ ROOT_LEVEL = 2
 DETECT_SCAN = "scan"
 DETECT_EXPLOIT = "exploit"
 DETECT_DECOY = "decoy"
+
+# Every zone's reachable zones while no edge is blocked; `_routes`
+# replaces the table rather than mutating it, so all episodes share it.
+_OPEN_ROUTES = zone_reachable(set())
+
+# The green failures, one shared event per (zone, kind).
+_GREEN_FAILURES = {
+    (zone, kind): StepEvent(REWARD_ZONE_OF[zone], kind)
+    for zone in ZONES for kind in (LOCAL_WORK_FAILS, ACCESS_SERVICE_FAILS)
+}
 
 BLUE_AGENT_ZONES = (
     ("blue_restricted_a", ("restricted_zone_a",)),
@@ -244,22 +262,24 @@ class ScenarioSim:
         self.step_index = 0
         self.hosts: dict[str, HostRuntime] = {h: HostRuntime() for h in self.topology.hosts}
         self.blocked: set[tuple[str, str]] = set()
-        self._reach = zone_reachable(self.blocked)
+        self._reach = _OPEN_ROUTES
         self._reach_dirty = False
         self.red_agents: list[RedAgent | None] = [None] * config.red_slots
         self._red_slots = {f"red_{slot}": slot for slot in range(config.red_slots)}
         self.blue_agents: dict[str, BlueAgent] = {}
         self._detections: list[tuple[str, str]] = []
+        # Every host Analyse ever found evidence on: only they can hold any.
+        self._analysed: set[HostRuntime] = set()
         self._zone_failures: dict[str, int] = {}
         self._last_applied_step = -1
         self.cumulative_blue = 0.0
         self.cumulative_red = 0.0
         hosts = self.topology.hosts
-        self._zone_of = {h: host.zone for h, host in hosts.items()}
         self._greens = [(h, host.zone, self.hosts[h]) for h, host in hosts.items() if not host.server]
-        # Services are drawn by their cumulative count, in topology order.
-        self._service_hosts = list(hosts)
-        self._service_cumsum = list(accumulate(host.services for host in hosts.values()))
+        self._service_table = [
+            (h, host.zone, self.hosts[h]) for h, host in hosts.items() for _ in range(host.services)
+        ]
+        self._draw_service = self.rng.below(len(self._service_table))
         self._servers = frozenset(h for h, host in hosts.items() if host.server)
         self._spawn_initial_agents()
 
@@ -440,6 +460,7 @@ class ScenarioSim:
             host.files_user_evidence = 1
             host.files_root_evidence = 1 if host.red_level == ROOT_LEVEL else 0
             host.confirmed_step = self.step_index
+            self._analysed.add(host)
         else:
             host.clear_evidence()
             agent.analysed_clean_step = self.step_index
@@ -642,40 +663,37 @@ class ScenarioSim:
 
     def _run_greens(self, events: list[StepEvent]):
         """Each green host works locally or uses a service (see the module doc)."""
-        random, integers = self.rng.random, self.rng.integers
-        local_work_p = self.config.green_local_work_p
-        cumsum, services = self._service_cumsum, self._service_hosts
-        total = cumsum[-1]
+        random, draw = self.rng.random, self._draw_service
+        local_work_p, spawn_p = self.config.green_local_work_p, self.config.service_spawn_p
+        table, routes = self._service_table, self._routes()
         for host_id, zone, host in self._greens:
             if random() < local_work_p:
                 if host.degraded or host.restoring:
                     self._green_failure(zone, LOCAL_WORK_FAILS, events)
                 continue
-            target = host_id
+            target, target_zone, target_state = table[draw()]
             while target == host_id:
-                target = services[bisect_right(cumsum, integers(total))]
-            self._green_access(host_id, target, events)
+                target, target_zone, target_state = table[draw()]
+            if target_zone not in routes[zone] or target_state.degraded or target_state.restoring:
+                # Failed service access is charged to the zone offering the service.
+                self._green_failure(target_zone, ACCESS_SERVICE_FAILS, events)
+            elif target_state.red_level >= USER_LEVEL and random() < spawn_p:
+                self._green_spawn(host_id, zone)
 
-    def _green_access(self, green_host: str, target: str, events: list[StepEvent]):
-        target_zone, own_zone = self._zone_of[target], self._zone_of[green_host]
-        target_state = self.hosts[target]
-        if target_zone not in self._routes()[own_zone] or target_state.degraded or target_state.restoring:
-            # Failed service access is charged to the zone offering the service.
-            self._green_failure(target_zone, ACCESS_SERVICE_FAILS, events)
-            return
-        if target_state.red_level >= USER_LEVEL and self.rng.random() < self.config.service_spawn_p:
-            resident = self._red_in_zone(own_zone)
-            if resident is not None:
-                resident.sessions[green_host] = max(resident.sessions.get(green_host, 0), USER_LEVEL)
-                resident.learn(green_host)
-                self._recompute_level(green_host)
-            else:
-                slot = self._free_slot()
-                if slot is not None:
-                    self._spawn_red(slot, own_zone, green_host)
+    def _green_spawn(self, green_host: str, zone: str):
+        """A green host that used a compromised service hands red a session."""
+        resident = self._red_in_zone(zone)
+        if resident is not None:
+            resident.sessions[green_host] = max(resident.sessions.get(green_host, 0), USER_LEVEL)
+            resident.learn(green_host)
+            self._recompute_level(green_host)
+        else:
+            slot = self._free_slot()
+            if slot is not None:
+                self._spawn_red(slot, zone, green_host)
 
     def _green_failure(self, zone: str, kind: str, events: list[StepEvent]):
-        events.append(StepEvent(self.topology.reward_zone(zone), kind))
+        events.append(_GREEN_FAILURES[zone, kind])
         self._zone_failures[zone] = self._zone_failures.get(zone, 0) + 1
 
     # ------------------------------------------------------------------
@@ -715,7 +733,7 @@ class ScenarioSim:
             if kind == DETECT_SCAN and self._zone_monitored(self.topology.hosts[host_id].zone, last)
         )
         files_user = files_root = 0
-        for host in self.hosts.values():
+        for host in self._analysed:
             files_user += host.files_user_evidence
             files_root += host.files_root_evidence
         n_servers = len(self._servers)

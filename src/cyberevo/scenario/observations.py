@@ -4,19 +4,22 @@ An observation holds exactly what a rule program reads: the success flag
 of the agent's last completed action and the five counts named by the
 grammars' observation functions.  The engine computes each count once
 per step; a program's condition reads the field of the same name.
+
+An `Observation` is a named tuple: immutable, hashable and cheap to
+build, since the engine builds one per agent per step.  Rule controllers
+key their decision memos on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TRUE = "TRUE"
 FALSE = "FALSE"
 UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True, slots=True)
-class Observation:
+class Observation(NamedTuple):
     """What one agent sees after a step.
 
     A red agent counts its known hosts (``connections``), its sessions

@@ -20,13 +20,18 @@ The three streams an episode owns (topology, scenario, controller) are
 `ScalarStream`s from `spawn_stream`: they draw one scalar at a time, and
 reproduce numpy's ``Generator.random()`` and ``Generator.integers()``
 bit for bit from the generator's raw 64-bit words, without numpy's
-per-call overhead.  Variation draws arrays and keeps a numpy Generator
-from `spawn_generator`.
+per-call overhead.  A loop that draws over one fixed span, as the
+engine's green users do, takes a draw function from
+``ScalarStream.below(span)`` once and calls it without arguments.
+Variation draws arrays and keeps a numpy Generator from
+`spawn_generator`.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, repeat
+from typing import Callable
 
 import numpy as np
 
@@ -74,9 +79,11 @@ class ScalarStream:
       ``uinteger``), redrawing while the product's low 32 bits fall
       below ``(2**32 - span) % span``.  A span of 1 draws nothing.
 
-    Spans up to ``2**32`` are supported.  The stream reads the bit
-    generator ahead in blocks, so the wrapped Generator must not be
-    used once it is wrapped.
+    ``below(span)`` returns a function that gives ``integers(span)``
+    draws from the same rejection loop and half-word buffer.  Spans up
+    to ``2**32`` are supported.  The stream reads the bit generator
+    ahead in blocks, so the wrapped Generator must not be used once it
+    is wrapped.
     """
 
     def __init__(self, generator: np.random.Generator):
@@ -99,7 +106,24 @@ class ScalarStream:
             return low
         if not 1 < span <= _SPAN32:
             raise ValueError(f"integers({low}, {high}): span {span} is not in [1, 2**32]")
-        threshold = (_SPAN32 - span) % span
+        return low + self._bounded(span, (_SPAN32 - span) % span)
+
+    def below(self, span: int) -> Callable[[], int]:
+        """A function that draws ``integers(span)`` each time it is called.
+
+        It shares this stream's words and buffered half-word, so its
+        draws interleave with ``random()`` and ``integers()`` exactly as
+        ``integers(span)`` calls would; it only skips their per-call
+        argument checks.
+        """
+        if span == 1:
+            return lambda: 0  # a span of 1 draws nothing
+        if not 1 < span <= _SPAN32:
+            raise ValueError(f"below({span}): span {span} is not in [1, 2**32]")
+        return partial(self._bounded, span, (_SPAN32 - span) % span)
+
+    def _bounded(self, span: int, threshold: int) -> int:
+        """Lemire's rejection loop: an int in [0, span) from half-words."""
         while True:
             half = self._half
             if half is None:
@@ -110,4 +134,4 @@ class ScalarStream:
                 self._half = None
             product = half * span
             if product & _LOW32 >= threshold:
-                return low + (product >> 32)
+                return product >> 32

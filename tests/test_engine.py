@@ -530,29 +530,38 @@ def test_phishing_spawns_non_anchor_agents_on_user_hosts():
     assert zones_hit == expected_zones[: len(zones_hit)]
 
 
+def only_green(sim: ScenarioSim, green: str, service: str):
+    """Leave `green` the only green host and `service` the only service."""
+    sim._greens = [(green, sim.topology.hosts[green].zone, sim.hosts[green])]
+    sim._service_table = [(service, sim.topology.hosts[service].zone, sim.hosts[service])]
+    sim._draw_service = sim.rng.below(1)
+
+
 def test_green_access_failure_is_charged_to_the_service_zone():
-    sim = ScenarioSim(quiet_config(), seed=26)
+    sim = ScenarioSim(quiet_config(green_local_work_p=0.0), seed=26)
     green = sim.topology.hosts_by_zone["operational_zone_a"][-1]
     service = sim.topology.hosts_by_zone["restricted_zone_b"][0]
+    only_green(sim, green, service)
     sim.hosts[service].degraded = True
     events = []
-    sim._green_access(green, service, events)
+    sim._run_greens(events)
     assert events == [StepEvent("Restricted Zone B", ACCESS_SERVICE_FAILS)]
 
     sim.hosts[service].degraded = False
     sim.blocked.add(tuple(sorted((INTERNET, "restricted_zone_b"))))
     sim._reach_dirty = True
     events = []
-    sim._green_access(green, service, events)
+    sim._run_greens(events)
     assert events == [StepEvent("Restricted Zone B", ACCESS_SERVICE_FAILS)]
 
 
 def test_green_access_to_compromised_service_can_spread_red():
-    sim = ScenarioSim(quiet_config(service_spawn_p=1.0), seed=27)
+    sim = ScenarioSim(quiet_config(green_local_work_p=0.0, service_spawn_p=1.0), seed=27)
     red = anchor(sim)
     green = sim.topology.hosts_by_zone["operational_zone_b"][-1]
+    only_green(sim, green, red.entry_host)
     events = []
-    sim._green_access(green, red.entry_host, events)
+    sim._run_greens(events)
     assert events == []  # the service still works; the damage is silent
     spawned = [a for a in sim.red_agents if a is not None and a.zone == "operational_zone_b"]
     assert len(spawned) == 1

@@ -119,6 +119,13 @@ def check_invariants(sim: ScenarioSim, result) -> None:
         assert obs.files_root == obs.root_access_levels == roots
     for host_id, runtime in sim.hosts.items():
         assert runtime.red_level == levels[host_id], host_id
+    evidence = (
+        sum(runtime.files_user_evidence for runtime in sim.hosts.values()),
+        sum(runtime.files_root_evidence for runtime in sim.hosts.values()),
+    )
+    for name in sim.blue_agents:
+        obs = result.observations[name]
+        assert (obs.files_user, obs.files_root) == evidence, name
     assert set(result.observations) == set(sim.agent_names())
 
     restoring = {

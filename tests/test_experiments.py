@@ -351,6 +351,21 @@ def test_a_grammar_variant_on_a_matrix_experiment_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_variant_given_by_name_is_coerced(tmp_path):
+    es_baseline = dataclasses.replace(get_experiment("ES-B"), variant="baseline")
+    assert es_baseline.variant is Variant.BASELINE
+    out = tmp_path / "es"
+    run_experiment(es_baseline, str(out), evo=SMALL_EVO, scenario=TINY)
+    assert json.loads((out / "ES-B.meta.json").read_text())["variant"] == "baseline"
+    ge_tc = dataclasses.replace(get_experiment("GE-B"), variant="tc")
+    assert ge_tc.variant is Variant.TC
+    out = tmp_path / "ge"
+    run_experiment(ge_tc, str(out), evo=SMALL_EVO, scenario=TINY)
+    assert json.loads((out / "GE-B.meta.json").read_text())["variant"] == "tc"
+    with pytest.raises(ExperimentSpecError, match="unknown grammar variant 'median'"):
+        dataclasses.replace(get_experiment("GE-B"), variant="median")
+
+
 def test_cli_summarize(tmp_path, capsys):
     path = write_trace(tmp_path / "ES-B.csv", [
         (0, 0, "blue", "ES-B", -12.0, -20.0, 20),

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyberevo.controllers.base import (
     FIRST_TARGET,
@@ -22,7 +24,7 @@ from cyberevo.grammar.ast import (
     SuccessTest,
     TargetAssign,
 )
-from cyberevo.scenario.observations import FALSE, TRUE, Observation
+from cyberevo.scenario.observations import FALSE, TRUE, UNKNOWN, Observation
 from helpers import FixedActionController
 
 RNG = np.random.default_rng(0)
@@ -160,6 +162,60 @@ def test_target_section_can_pick_heuristics_conditionally():
     controller = RuleController(ast, "red")
     assert controller.decide(obs(success=TRUE), None, RNG) == ("Impact", FIRST_TARGET)
     assert controller.decide(obs(success=FALSE), None, RNG) == ("Impact", LAST_TARGET)
+
+
+# ---------------------------------------------------------------------------
+# memoized decisions
+
+BRANCHY = RuleAst(
+    action_statements=(
+        IfStatement(single(ObsTest("connections", ">", 1)), ActionAssign("ExploitRemoteService")),
+        IfStatement(
+            Condition("and", ObsTest("files_user", "=", 1), SuccessTest(FALSE)),
+            ActionAssign("PrivilegeEscalate"),
+        ),
+        IfStatement(
+            Condition("or", ObsTest("files_root", ">", 0), ObsTest("root_access_levels", "=", 2)),
+            IfStatement(single(ObsTest("n_servers", "<", 2)), ActionAssign("Impact")),
+        ),
+    ),
+    target_statements=(
+        IfStatement(single(SuccessTest(TRUE)), TargetAssign(FIRST_TARGET)),
+        IfStatement(single(ObsTest("connections", "=", 0)), TargetAssign(LAST_TARGET)),
+    ),
+)
+
+observations = st.builds(
+    Observation,
+    st.sampled_from((TRUE, FALSE, UNKNOWN)),
+    *[st.integers(0, 3) for _ in OBSERVATION_FUNCTIONS],
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sequence=st.lists(observations, min_size=1, max_size=40))
+def test_memoized_decisions_equal_a_fresh_walk(sequence):
+    controller = RuleController(BRANCHY, "red")
+    for observation in sequence:
+        # A new controller has an empty memo, so it walks the program.
+        assert controller.decide(observation, None, RNG) == RuleController(BRANCHY, "red").decide(
+            observation, None, RNG
+        ), observation
+    for observation in sequence:
+        first = controller.decide(observation, None, RNG)
+        assert controller.decide(observation, None, RNG) is first
+        assert controller._decisions[observation] is first
+
+
+def test_a_rule_controller_and_its_observations_are_immutable():
+    controller = RuleController(BRANCHY, "red")
+    with pytest.raises(AttributeError):
+        controller.ast = RuleAst(action_statements=())
+    observation = obs(connections=2)
+    with pytest.raises(AttributeError):
+        observation.connections = 3
+    assert getattr(observation, "connections") == 2
+    assert hash(observation) == hash(obs(connections=2))
 
 
 # ---------------------------------------------------------------------------

@@ -142,3 +142,58 @@ def test_stream_rejects_empty_or_too_wide_ranges(args):
     with pytest.raises(ValueError):
         stream.integers(*args)
     assert_same_draws(spawn_generator(1), stream, [("random",), ("integers", 180)])
+
+
+# ---------------------------------------------------------------------------
+# ScalarStream.below: the engine's fixed-span draw function
+
+BELOW_SPANS = (2, 3, 180, 2**31 + 5, 2**32)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    span=st.sampled_from(BELOW_SPANS),
+    before=st.lists(draws, max_size=3),
+    built_after=st.lists(draws, max_size=3),
+    sequence=st.lists(st.one_of(st.just(("below",)), draws), max_size=500),
+)
+def test_below_matches_numpy_integers_draw_for_draw(seed, span, before, built_after, sequence):
+    """``before`` runs on both Generators and ``built_after`` on the
+    stream before ``below`` is built, so either may leave a buffered
+    half-word; ``("below",)`` draws compare with ``integers(span)``."""
+    generator, wrapped = spawn_generator(seed, 9), spawn_generator(seed, 9)
+    for method, *args in before:
+        getattr(generator, method)(*args)
+        getattr(wrapped, method)(*args)
+    stream = ScalarStream(wrapped)
+    assert_same_draws(generator, stream, built_after)
+    draw = stream.below(span)
+    for index, (method, *args) in enumerate(sequence):
+        if method == "below":
+            expected, got = generator.integers(span), draw()
+        else:
+            expected, got = getattr(generator, method)(*args), getattr(stream, method)(*args)
+        call = f"{method}({', '.join(map(str, args or [span]))})"
+        assert got == expected and type(got) is (float if method == "random" else int), (
+            f"draw {index}, {call}: numpy gave {expected!r}, the stream gave {got!r}"
+        )
+
+
+def test_below_starts_from_a_half_word_buffered_when_it_is_built():
+    generator, stream = spawn_generator(6, 3), spawn_stream(6, 3)
+    assert generator.integers(180) == stream.integers(180)  # buffers a high half
+    assert stream._half is not None
+    draw = stream.below(3)
+    expected = [generator.integers(3) for _ in range(50)]
+    assert [draw() for _ in range(50)] == expected
+    assert_same_draws(generator, stream, [("random",), ("integers", 180)])
+
+
+def test_below_a_span_of_one_draws_nothing_and_bad_spans_are_rejected():
+    generator, stream = spawn_generator(8), spawn_stream(8)
+    assert [stream.below(1)() for _ in range(5)] == [0] * 5
+    for span in (0, -3, 2**32 + 1):
+        with pytest.raises(ValueError):
+            stream.below(span)
+    assert_same_draws(generator, stream, [("integers", 180), ("random",), ("integers", 3)])

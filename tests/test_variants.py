@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +53,18 @@ def test_packaged_files_render_back_byte_for_byte():
             name = grammar_asset_name(side, variant)
             text = resources.files("cyberevo.grammar").joinpath(f"data/{name}").read_text()
             assert load_grammar(side, variant).to_text() == text, name
+
+
+def test_packaged_files_match_their_pinned_digests():
+    # Moving a rule renders back byte for byte but changes the LLM prompt;
+    # an intended grammar edit re-pins golden/grammar_digests.json.
+    pinned = json.loads((Path(__file__).parent / "golden" / "grammar_digests.json").read_text())
+    data = resources.files("cyberevo.grammar").joinpath("data")
+    packaged = sorted(entry.name for entry in data.iterdir() if entry.name.endswith(".grammar"))
+    assert packaged == sorted(pinned)
+    for name in packaged:
+        digest = hashlib.sha256(data.joinpath(name).read_bytes()).hexdigest()
+        assert digest == pinned[name], f"{name} differs from its pinned sha256"
 
 
 def test_baseline_and_tr_are_the_same_language():
