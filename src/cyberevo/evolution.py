@@ -31,6 +31,7 @@ from .grammar.mapping import map_genome
 from .grammar.model import Grammar
 from .grammar.program import render_program
 from .grammar.variants import Variant, load_grammar
+from .llm import LlmStats, llm_mutate
 from .scenario.config import ScenarioConfig
 from .seeds import STREAM_EPISODE, STREAM_VARIATION, derive_seed, spawn_generator
 from .traces import FitnessTrace
@@ -77,13 +78,11 @@ class Individual:
     valid: bool
     fitness: Optional[float] = None
     program: Optional[str] = None
-    ast: Optional[RuleAst] = None
     detached: bool = False  # program was edited directly; genome is stale
 
     @classmethod
     def decoded(cls, genome: np.ndarray, outcome: "DecodeOutcome") -> "Individual":
-        return cls(genome, outcome.team, outcome.valid, program=outcome.program,
-                   ast=outcome.ast)
+        return cls(genome, outcome.team, outcome.valid, program=outcome.program)
 
 
 @dataclass(frozen=True)
@@ -323,8 +322,6 @@ def _llm_child(
     evo: EvoConfig,
 ) -> Individual:
     """Mutate by editing the parent's program text through the client."""
-    from .llm import llm_mutate
-
     if parent.detached:
         program = parent.program
     else:
@@ -343,7 +340,6 @@ def _llm_child(
         team=mutation.team,
         valid=True,
         program=mutation.program,
-        ast=mutation.ast,
         detached=True,
     )
 
@@ -367,8 +363,6 @@ def _generational_loop(
     if llm_client is not None and evo.controllers_per_team != "one":
         raise ValueError("LLM mutation edits a single shared controller program")
     if llm_client is not None and llm_stats is None:
-        from .llm import LlmStats  # local import keeps the LLM layer optional
-
         llm_stats = LlmStats()
     trace = FitnessTrace()
     best_per_trial: dict[str, list[Individual]] = {side: [] for side in decoders}

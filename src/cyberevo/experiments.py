@@ -202,6 +202,11 @@ def run_experiment(
     scenario = scenario if scenario is not None else ScenarioConfig()
     if evo is None:
         evo = EvoConfig(controllers_per_team=spec.controllers_per_team)
+    elif evo.controllers_per_team != spec.controllers_per_team:
+        raise ExperimentSpecError(
+            f"{spec.name}: the spec asks for {spec.controllers_per_team!r} controllers per team, "
+            f"the evolution config for {evo.controllers_per_team!r}"
+        )
     if spec.algorithm == "GE-LLM" and llm_client is None:
         llm_client = _make_llm_client(llm_settings or {}, master_seed)
     if spec.algorithm != "GE-LLM":

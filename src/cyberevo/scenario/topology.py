@@ -56,6 +56,14 @@ class TopologyBounds:
     user_hosts: tuple[int, int] = (3, 10)
     services: tuple[int, int] = (1, 5)
 
+    def __post_init__(self):
+        # Every range needs low >= 1: each blue agent's home is a server,
+        # phishing picks a user host, and greens pick a service.
+        for name in ("servers", "user_hosts", "services"):
+            low, high = getattr(self, name)
+            if not 1 <= low <= high:
+                raise ScenarioConfigError(f"{name}={(low, high)} must satisfy 1 <= low <= high")
+
 
 @dataclass(frozen=True)
 class Host:

@@ -9,17 +9,14 @@ comparison — are session-scoped fixtures so they execute only once.
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 import time
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cyberevo
 import cyberevo.evolution as evolution_module
 from cyberevo.coevolution import coevolve
 from cyberevo.controllers.base import SleepController
@@ -45,6 +42,7 @@ from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.scenario.rewards import EVENT_KINDS, PHASES, REWARD_ZONES, RewardTable
 from cyberevo.scenario.topology import TopologyBounds
 
+from helpers import package_env
 from oracles import TOY_SPEC, all_genomes, oracle_map, spec_to_text
 from test_fsm import BLUE_EXPECTED, RED_EXPECTED
 from test_program import MONITOR_TEXT
@@ -431,15 +429,7 @@ def test_criterion_11_cli_runs_are_byte_reproducible(criterion, tmp_path):
         11, "two identical CLI coevolution runs write byte-identical trace CSVs"
     ):
         started = time.perf_counter()
-        # The child runs in tmp_path, where a relative PYTHONPATH entry such
-        # as ``src`` resolves to nothing; put the absolute directory holding
-        # the imported package first, so the CLI under test is this package.
-        package_root = str(Path(cyberevo.__file__).resolve().parent.parent)
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            package_root + os.pathsep + inherited if inherited else package_root
-        )
+        env = package_env()
         contents = []
         for name in ("first", "second"):
             outdir = tmp_path / name

@@ -7,14 +7,12 @@ out; the three run here take about a second together.
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-import cyberevo
+from helpers import package_env
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -23,15 +21,9 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     "demo", ["scenario_tour.py", "grammar_programs.py", "llm_assisted_mutation.py"]
 )
 def test_demo_runs(demo, tmp_path):
-    # Put the directory holding the imported package first, so a relative
-    # PYTHONPATH entry or an installed copy cannot stand in for it.
-    package_root = str(Path(cyberevo.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = package_root + os.pathsep + inherited if inherited else package_root
     result = subprocess.run(
         [sys.executable, str(DEMOS / demo)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=package_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

@@ -225,15 +225,6 @@ def test_fresh_individual_stops_at_first_valid():
 # evaluation
 
 
-def test_episode_seeds_are_deterministic_and_distinct():
-    seeds = episode_seeds(1000, 0, 3, 2, 0, 2)
-    assert seeds == episode_seeds(1000, 0, 3, 2, 0, 2)
-    assert len(seeds) == 2 and seeds[0] != seeds[1]
-    assert seeds != episode_seeds(1000, 0, 3, 1, 0, 2)
-    assert seeds != episode_seeds(1000, 0, 4, 2, 0, 2)
-    assert seeds != episode_seeds(1001, 0, 3, 2, 0, 2)
-
-
 def test_evaluate_team_averages_episode_totals_per_side():
     blue = [SleepController("blue")]
     red = [load_fsm_adversary("red")]

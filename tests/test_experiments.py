@@ -333,6 +333,17 @@ def test_a_rejected_spec_leaves_no_output_directory(tmp_path):
     assert not out.exists()
 
 
+def test_conflicting_controllers_per_team_are_rejected(tmp_path):
+    out = tmp_path / "never-made"
+    spec = dataclasses.replace(get_experiment("GE-B"), controllers_per_team="many")
+    with pytest.raises(ExperimentSpecError, match="controllers per team"):
+        run_experiment(spec, str(out), evo=SMALL_EVO, scenario=TINY)
+    with pytest.raises(ExperimentSpecError, match="controllers per team"):
+        run_experiment("GE-B", str(out), scenario=TINY,
+                       evo=dataclasses.replace(SMALL_EVO, controllers_per_team="many"))
+    assert not out.exists()
+
+
 def test_a_grammar_variant_on_a_matrix_experiment_is_rejected(tmp_path, capsys):
     # ES and GA decoders ignore the variant, so the metadata would lie about it
     out = tmp_path / "out"

@@ -73,7 +73,8 @@ def test_episode_seeds_differ_across_pairings():
     b = episode_seeds(1000, 0, 0, 1, 0, 2)
     c = episode_seeds(1000, 0, 0, 0, 1, 2)
     d = episode_seeds(1000, 0, 1, 0, 0, 2)
-    assert len({tuple(a), tuple(b), tuple(c), tuple(d)}) == 4
+    e = episode_seeds(1001, 0, 0, 0, 0, 2)
+    assert len({tuple(a), tuple(b), tuple(c), tuple(d), tuple(e)}) == 5
 
 
 # ---------------------------------------------------------------------------

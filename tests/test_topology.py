@@ -89,6 +89,18 @@ def test_custom_bounds_are_honoured():
     assert all(h.services == 1 for h in topology.hosts.values())
 
 
+@pytest.mark.parametrize("bounds", [
+    {"services": (0, 0)},
+    {"services": (3, 1)},
+    {"servers": (0, 0)},
+    {"user_hosts": (0, 0)},
+    {"user_hosts": (-1, 2)},
+], ids=str)
+def test_impossible_bounds_are_config_errors(bounds):
+    with pytest.raises(ScenarioConfigError):
+        TopologyBounds(**bounds)
+
+
 def test_user_hosts_and_servers_partition_each_zone():
     topology = generate_topology(4)
     users = set(topology.user_hosts())
