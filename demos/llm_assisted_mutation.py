@@ -50,7 +50,7 @@ def chained_mutations() -> None:
     program = SEED_PROGRAM
     print("\nFive chained mutations through the offline mock client:\n")
     for round_number in range(1, 6):
-        outcome = llm_mutate(client, program, decoder.grammar, decoder, stats)
+        outcome = llm_mutate(client, program, decoder.grammar, stats)
         if not outcome.ok:
             print(f"  round {round_number}: reply rejected ({outcome.error})")
             continue
@@ -60,7 +60,7 @@ def chained_mutations() -> None:
     print("\nFinal program:")
     for line in program.splitlines():
         print(f"    {line}")
-    print(f"\n{format_stats(stats)}")
+    print(f"\n{format_stats(stats.summary())}")
 
 
 def degraded_run() -> None:
@@ -69,7 +69,6 @@ def degraded_run() -> None:
         "every failed\nmutation is replaced by a fresh random individual, and "
         "the failure is counted."
     )
-    stats = LlmStats()
     tiny = ScenarioConfig(
         steps=6,
         phase_boundaries=(2, 4),
@@ -84,10 +83,9 @@ def degraded_run() -> None:
         master_seed=5,
         label="GE-LLM-B",
         llm_client=ScriptedClient(["I would simply not get hacked."]),
-        llm_stats=stats,
     )
     print(f"\nrun completed: {len(result.trace.records)} iterations logged")
-    print(format_stats(stats))
+    print(format_stats(result.llm_report))
 
 
 def main() -> None:

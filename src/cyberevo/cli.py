@@ -11,7 +11,6 @@ from typing import Optional, Sequence
 from .errors import CyberevoError
 from .evolution import EvoConfig
 from .experiments import (
-    DEFAULT_MASTER_SEED,
     RunSettings,
     get_experiment,
     list_experiments,

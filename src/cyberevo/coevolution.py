@@ -96,7 +96,6 @@ def coevolve(
     master_seed: int,
     label: str,
     llm_client=None,
-    llm_stats=None,
 ) -> EvolutionResult:
     """Run competitive coevolution and log one record per side per iteration.
 
@@ -118,5 +117,5 @@ def coevolve(
 
     return _generational_loop(
         {"red": red_decoder, "blue": blue_decoder}, assign_fitness, evo,
-        master_seed, label, llm_client, llm_stats,
+        master_seed, label, llm_client,
     )

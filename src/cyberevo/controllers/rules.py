@@ -27,7 +27,6 @@ from ..grammar.ast import (
     SuccessTest,
     TargetAssign,
 )
-from ..grammar.model import Grammar
 from ..scenario.actions import is_legal
 from ..scenario.observations import Observation
 from ..seeds import ScalarStream
@@ -117,7 +116,6 @@ class RuleController:
     ast: RuleAst
     side: str
     default_heuristic: str = RANDOM_TARGET
-    grammar: Optional[Grammar] = field(default=None, repr=False, compare=False)
     _decisions: dict[Observation, tuple[str, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

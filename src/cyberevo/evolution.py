@@ -9,10 +9,17 @@ they assign fitness.  Three solution representations share it:
 - integer codon genomes decoded through a controller grammar (redraw
   mutation, or LLM-driven program mutation when a client is supplied).
 
-Invalid grammar decodes are replaced by fresh random individuals; if a
-fresh valid individual cannot be found within the retry cap, the
-individual is kept invalid and scored below the worst fitness seen so
-far.  Simulation faults during evaluation are scored the same way.
+A decoder's ``decode`` hands back the `Individual` itself; a genome the
+grammar cannot map gives one with no team, flagged invalid.  An LLM
+child keeps its parent's genome but takes its single controller from
+the edited program, so it is marked detached and breeds by further
+program edits only.
+
+Invalid decodes and failed LLM mutations are replaced by fresh random
+individuals; if a fresh valid individual cannot be found within the
+retry cap, the individual is kept invalid and scored below the worst
+fitness seen so far.  Simulation faults during evaluation are scored
+the same way.
 """
 
 from __future__ import annotations
@@ -26,9 +33,7 @@ from .controllers.matrix import decode_matrix_team, team_genome_length, team_siz
 from .controllers.rules import RuleController
 from .episodes import Team, run_episode
 from .errors import ControllerError, SimulationFault
-from .grammar.ast import RuleAst
 from .grammar.mapping import map_genome
-from .grammar.model import Grammar
 from .grammar.program import render_program
 from .grammar.variants import Variant, load_grammar
 from .llm import LlmStats, llm_mutate
@@ -80,18 +85,6 @@ class Individual:
     program: Optional[str] = None
     detached: bool = False  # program was edited directly; genome is stale
 
-    @classmethod
-    def decoded(cls, genome: np.ndarray, outcome: "DecodeOutcome") -> "Individual":
-        return cls(genome, outcome.team, outcome.valid, program=outcome.program)
-
-
-@dataclass(frozen=True)
-class DecodeOutcome:
-    team: Optional[Team]
-    valid: bool
-    program: Optional[str] = None
-    ast: Optional[RuleAst] = None
-
 
 class MatrixTeamDecoder:
     """Genomes are flat matrix cells; every in-range genome is valid."""
@@ -109,9 +102,9 @@ class MatrixTeamDecoder:
             return rng.random(self.genome_length)
         return rng.integers(0, 4, size=self.genome_length)
 
-    def decode(self, genome: np.ndarray) -> DecodeOutcome:
+    def decode(self, genome: np.ndarray) -> Individual:
         team = decode_matrix_team(genome, self.side, self.mode, self.encoding)
-        return DecodeOutcome(team=team, valid=True)
+        return Individual(genome, team, True)
 
     def mutate(
         self, genome: np.ndarray, rng: np.random.Generator, config: EvoConfig
@@ -134,13 +127,12 @@ class RuleTeamDecoder:
         side: str,
         variant: Variant = Variant.BASELINE,
         mode: str = "one",
-        grammar: Optional[Grammar] = None,
         genome_length: int = GE_GENOME_LENGTH,
     ):
         self.side = side
         self.variant = Variant(variant)
         self.mode = mode
-        self.grammar = grammar if grammar is not None else load_grammar(side, self.variant)
+        self.grammar = load_grammar(side, self.variant)
         self.controllers = 1 if mode == "one" else team_size(side)
         self.genome_length = genome_length * self.controllers
         self._chunk = genome_length
@@ -148,31 +140,17 @@ class RuleTeamDecoder:
     def random_genome(self, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, CODON_MAX + 1, size=self.genome_length)
 
-    def decode(self, genome: np.ndarray) -> DecodeOutcome:
+    def decode(self, genome: np.ndarray) -> Individual:
         controllers = []
         programs = []
-        first_ast: Optional[RuleAst] = None
         for c in range(self.controllers):
             chunk = genome[c * self._chunk:(c + 1) * self._chunk]
             result = map_genome(chunk, self.grammar)
             if result.invalid:
-                return DecodeOutcome(team=None, valid=False)
-            controllers.append(
-                RuleController(result.ast, self.side, grammar=self.grammar)
-            )
+                return Individual(genome, None, False)
+            controllers.append(RuleController(result.ast, self.side))
             programs.append(render_program(result.tree))
-            if first_ast is None:
-                first_ast = result.ast
-        return DecodeOutcome(
-            team=controllers,
-            valid=True,
-            program="\n".join(programs),
-            ast=first_ast,
-        )
-
-    def team_from_ast(self, ast: RuleAst) -> Team:
-        """Build a shared-controller team from a directly edited program."""
-        return [RuleController(ast, self.side, grammar=self.grammar)]
+        return Individual(genome, controllers, True, program="\n".join(programs))
 
     def mutate(
         self, genome: np.ndarray, rng: np.random.Generator, config: EvoConfig
@@ -228,11 +206,10 @@ def fresh_individual(
 ) -> Individual:
     """Random individual, retrying invalid grammar decodes up to the cap."""
     for _ in range(1 + max(retry_cap, 0)):
-        genome = decoder.random_genome(rng)
-        outcome = decoder.decode(genome)
-        if outcome.valid:
+        individual = decoder.decode(decoder.random_genome(rng))
+        if individual.valid:
             break
-    return Individual.decoded(genome, outcome)
+    return individual
 
 
 def evaluate_team(
@@ -299,16 +276,12 @@ def _make_children(
             if len(children) >= needed:
                 break
             if llm_client is not None:
-                children.append(
-                    _llm_child(parent, genome, decoder, llm_client, llm_stats, rng, evo)
-                )
-                continue
-            mutated = decoder.mutate(genome, rng, evo)
-            outcome = decoder.decode(mutated)
-            if outcome.valid:
-                children.append(Individual.decoded(mutated, outcome))
+                child = _llm_child(parent, genome, decoder, llm_client, llm_stats, rng, evo)
             else:
-                children.append(fresh_individual(decoder, rng, evo.invalid_retry_cap))
+                child = decoder.decode(decoder.mutate(genome, rng, evo))
+                if not child.valid:
+                    child = fresh_individual(decoder, rng, evo.invalid_retry_cap)
+            children.append(child)
     return children
 
 
@@ -325,11 +298,11 @@ def _llm_child(
     if parent.detached:
         program = parent.program
     else:
-        outcome = decoder.decode(genome)
-        if not outcome.valid:
+        decoded = decoder.decode(genome)
+        if not decoded.valid:
             return fresh_individual(decoder, rng, evo.invalid_retry_cap)
-        program = outcome.program
-    mutation = llm_mutate(client, program, decoder.grammar, decoder, stats)
+        program = decoded.program
+    mutation = llm_mutate(client, program, decoder.grammar, stats)
     if not mutation.ok:
         # Failed mutations are replaced the same way invalid decodes are:
         # by a fresh random individual, so a failing backend cannot stall
@@ -337,7 +310,7 @@ def _llm_child(
         return fresh_individual(decoder, rng, evo.invalid_retry_cap)
     return Individual(
         genome=genome,
-        team=mutation.team,
+        team=[RuleController(mutation.ast, decoder.side)],
         valid=True,
         program=mutation.program,
         detached=True,
@@ -351,7 +324,6 @@ def _generational_loop(
     master_seed: int,
     label: str,
     llm_client,
-    llm_stats,
 ) -> EvolutionResult:
     """Breed one population per side of `decoders` through every trial.
 
@@ -362,8 +334,7 @@ def _generational_loop(
     """
     if llm_client is not None and evo.controllers_per_team != "one":
         raise ValueError("LLM mutation edits a single shared controller program")
-    if llm_client is not None and llm_stats is None:
-        llm_stats = LlmStats()
+    llm_stats = LlmStats() if llm_client is not None else None
     trace = FitnessTrace()
     best_per_trial: dict[str, list[Individual]] = {side: [] for side in decoders}
     episodes_total = 0
@@ -422,7 +393,6 @@ def evolve_one_sided(
     master_seed: int,
     label: str,
     llm_client=None,
-    llm_stats=None,
 ) -> EvolutionResult:
     """Evolve one side against a fixed adversary team.
 
@@ -461,6 +431,5 @@ def evolve_one_sided(
         return episodes
 
     return _generational_loop(
-        {side: decoder}, assign_fitness, evo, master_seed, label,
-        llm_client, llm_stats,
+        {side: decoder}, assign_fitness, evo, master_seed, label, llm_client
     )

@@ -27,7 +27,7 @@ from .evolution import EvoConfig, EvolutionResult, evolve_one_sided, make_decode
 from .grammar.variants import Variant
 from .llm import EchoClient, ExpandingMockClient, HttpClient
 from .scenario.config import ScenarioConfig
-from .traces import FitnessTrace, running_best
+from .traces import FitnessTrace
 
 DEFAULT_MASTER_SEED = 1000
 
@@ -306,8 +306,7 @@ def summarize_traces(paths: Sequence[str]) -> str:
             lines.append(
                 f"{name} [{side}]: trials={len(trace.trials())} "
                 f"iterations={len(curve)} peak_best={best:.1f} "
-                f"final_mean_best={final:.1f} "
-                f"best_so_far_end={running_best([r.best for r in trace.filter(side=side).records])[-1]:.1f}"
+                f"final_mean_best={final:.1f}"
             )
     for name in sorted(traces):
         if not name.endswith("-C"):

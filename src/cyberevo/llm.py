@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .episodes import Team
 from .errors import GrammarParseError, ProgramParseError
 from .grammar.ast import RuleAst
 from .grammar.mapping import build_ast
@@ -107,20 +106,17 @@ class ExpandingMockClient:
 
     The new statement lands at the end of the action section, so the
     mutated program stays inside the grammar while its behavior (the
-    final action assignment wins) actually changes.  Without an explicit
-    grammar the client reads the one embedded in each prompt, so a
-    single instance serves prompts from either side; each distinct
-    grammar section is parsed once.
+    final action assignment wins) actually changes.  The client reads the
+    grammar embedded in each prompt, so a single instance serves prompts
+    from either side and any grammar variant; each distinct grammar
+    section is parsed once.
     """
 
-    def __init__(self, grammar: Optional[Grammar] = None, seed: int = 0):
-        self._actions = grammar.action_terminals() if grammar is not None else None
+    def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
         self._actions_by_section: dict[str, tuple[str, ...]] = {}
 
     def _legal_actions(self, prompt: str) -> tuple[str, ...]:
-        if self._actions is not None:
-            return self._actions
         from .grammar.parse import parse_grammar
 
         section = prompt.partition(GRAMMAR_HEADER)[2].partition(PROGRAM_HEADER)[0].strip()
@@ -201,7 +197,6 @@ class LlmStats:
     transport_failures: int = 0
     tokens_total: int = 0
     latency_total: float = 0.0
-    errors: list[str] = field(default_factory=list)
 
     def summary(self) -> dict:
         calls = max(self.calls, 1)
@@ -216,8 +211,8 @@ class LlmStats:
         }
 
 
-def format_stats(stats: LlmStats) -> str:
-    s = stats.summary()
+def format_stats(s: dict) -> str:
+    """One line from an `LlmStats.summary()` dict, such as a run's `llm_report`."""
     return (
         f"llm calls: {s['calls']}  ok: {s['successes']}  "
         f"parse failures: {s['parse_failures']}  "
@@ -230,12 +225,11 @@ def format_stats(stats: LlmStats) -> str:
 
 @dataclass(frozen=True)
 class MutationOutcome:
-    """What one program mutation produced (ok=False keeps the old team out)."""
+    """What one program mutation produced: the edited program and its AST, or an error."""
 
     ok: bool
     program: Optional[str] = None
     ast: Optional[RuleAst] = None
-    team: Optional[Team] = None
     error: Optional[str] = None
 
 
@@ -243,7 +237,6 @@ def llm_mutate(
     client: CompletionClient,
     program: str,
     grammar: Grammar,
-    decoder,
     stats: LlmStats,
 ) -> MutationOutcome:
     """Ask the client for a mutated program and validate it via the grammar."""
@@ -254,7 +247,6 @@ def llm_mutate(
         completion = client.complete(prompt)
     except Exception as exc:  # transport problems become flagged individuals
         stats.transport_failures += 1
-        stats.errors.append(f"transport: {exc}")
         stats.latency_total += time.perf_counter() - started
         return MutationOutcome(ok=False, error=str(exc))
     latency = completion.latency or (time.perf_counter() - started)
@@ -268,14 +260,7 @@ def llm_mutate(
         tree = parse_program(code, grammar)
     except ProgramParseError as exc:
         stats.parse_failures += 1
-        stats.errors.append(f"parse: {exc}")
         return MutationOutcome(ok=False, error=str(exc))
     ast = build_ast(tree, grammar)
-    team = decoder.team_from_ast(ast)
     stats.successes += 1
-    return MutationOutcome(
-        ok=True,
-        program=render_program(tree),
-        ast=ast,
-        team=team,
-    )
+    return MutationOutcome(ok=True, program=render_program(tree), ast=ast)

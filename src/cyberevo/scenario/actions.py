@@ -8,7 +8,6 @@ from __future__ import annotations
 
 RED = "red"
 BLUE = "blue"
-GREEN = "green"
 
 RED_ACTIONS = (
     "DiscoverRemoteSystems",
@@ -34,9 +33,7 @@ BLUE_ACTIONS = (
     "Sleep",
 )
 
-GREEN_ACTIONS = ("AccessService", "LocalWork")
-
-ACTIONS_BY_SIDE = {RED: RED_ACTIONS, BLUE: BLUE_ACTIONS, GREEN: GREEN_ACTIONS}
+ACTIONS_BY_SIDE = {RED: RED_ACTIONS, BLUE: BLUE_ACTIONS}
 
 TARGET_HOST = "host"
 TARGET_ZONE = "zone"

@@ -45,7 +45,6 @@ from .rewards import (
 )
 from .topology import (
     HOST_ZONES,
-    INTERNET,
     REWARD_ZONE_OF,
     ZONES,
     Topology,
@@ -607,7 +606,7 @@ class ScenarioSim:
             return False
         agent.sessions[target] = ROOT_LEVEL
         self._recompute_level(target)
-        events.append(StepEvent(self.topology.reward_zone(self.topology.hosts[target].zone), RED_IMPACT_ACCESS))
+        events.append(StepEvent(REWARD_ZONE_OF[self.topology.hosts[target].zone], RED_IMPACT_ACCESS))
         return True
 
     def _red_degradeservices(self, agent: RedAgent, target, events) -> bool:
@@ -627,7 +626,7 @@ class ScenarioSim:
     def _red_impact(self, agent: RedAgent, target, events) -> bool:
         if agent.sessions.get(target) != ROOT_LEVEL:
             return False
-        events.append(StepEvent(self.topology.reward_zone(self.topology.hosts[target].zone), RED_IMPACT_ACCESS))
+        events.append(StepEvent(REWARD_ZONE_OF[self.topology.hosts[target].zone], RED_IMPACT_ACCESS))
         return True
 
     def _red_withdraw(self, agent: RedAgent, target, events) -> bool:

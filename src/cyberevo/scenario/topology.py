@@ -85,9 +85,6 @@ class Topology:
             by_zone[host.zone].append(host.id)
         self.hosts_by_zone = by_zone
 
-    def reward_zone(self, zone: str) -> str:
-        return REWARD_ZONE_OF[zone]
-
     def user_hosts(self) -> list[str]:
         return [h.id for h in self.hosts.values() if not h.server]
 

@@ -350,17 +350,17 @@ def test_criterion_09_variant_grammars_are_safe_to_fuzz(criterion):
                 sampled = []
                 valid = 0
                 for genome in genomes:
-                    outcome = decoder.decode(genome)
-                    if not outcome.valid:
-                        assert outcome.team is None
+                    individual = decoder.decode(genome)
+                    if not individual.valid:
+                        assert individual.team is None
                         continue
                     valid += 1
                     assert all(
                         isinstance(c, RuleController) and c.side == side
-                        for c in outcome.team
+                        for c in individual.team
                     )
                     if len(sampled) < 2:
-                        sampled.append(outcome.team)
+                        sampled.append(individual.team)
                 assert valid > 0, (variant, side)
                 for index, team in enumerate(sampled):
                     if side == "blue":
@@ -383,7 +383,7 @@ def test_criterion_10_llm_mutation_accounting_and_degradation(criterion):
         client = ExpandingMockClient()
         program = MONITOR_TEXT
         for _ in range(5):
-            outcome = llm_mutate(client, program, grammar, decoder, stats)
+            outcome = llm_mutate(client, program, grammar, stats)
             assert outcome.ok
             reparsed = render_program(parse_program(outcome.program, grammar))
             assert reparsed == outcome.program
@@ -395,7 +395,6 @@ def test_criterion_10_llm_mutation_accounting_and_degradation(criterion):
             == stats.calls
         )
 
-        garbage_stats = LlmStats()
         tiny = ScenarioConfig(
             steps=6,
             phase_boundaries=(2, 4),
@@ -410,17 +409,13 @@ def test_criterion_10_llm_mutation_accounting_and_degradation(criterion):
             master_seed=5,
             label="GE-LLM-B",
             llm_client=ScriptedClient(["no code here"]),
-            llm_stats=garbage_stats,
         )
         assert len(result.trace.records) == 5
-        assert garbage_stats.calls > 0
-        assert garbage_stats.successes == 0
-        assert (
-            garbage_stats.parse_failures + garbage_stats.transport_failures
-            == garbage_stats.calls
-        )
-        assert result.llm_report["calls"] == garbage_stats.calls
-        assert result.llm_report["success_rate"] == 0.0
+        report = result.llm_report
+        assert report["calls"] > 0
+        assert report["successes"] == 0
+        assert report["parse_failures"] + report["transport_failures"] == report["calls"]
+        assert report["success_rate"] == 0.0
         assert time.perf_counter() - started < 60.0
 
 

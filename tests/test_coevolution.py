@@ -13,7 +13,6 @@ from cyberevo.coevolution import (
 )
 from cyberevo.evolution import (
     INVALID_PENALTY,
-    DecodeOutcome,
     EvolutionResult,
     EvoConfig,
     Individual,
@@ -80,9 +79,7 @@ def test_assign_fitness_penalizes_relative_to_surviving_best():
 
 
 def decoded(decoder, rng):
-    genome = decoder.random_genome(rng)
-    outcome = decoder.decode(genome)
-    return Individual(genome=genome, team=outcome.team, valid=True)
+    return decoder.decode(decoder.random_genome(rng))
 
 
 def test_all_vs_all_plays_every_pairing_the_same_number_of_times():

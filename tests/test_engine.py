@@ -26,7 +26,7 @@ from cyberevo.scenario.rewards import (
     RED_IMPACT_ACCESS,
     StepEvent,
 )
-from cyberevo.scenario.topology import HOST_ZONES, INTERNET, ZONES, TopologyBounds
+from cyberevo.scenario.topology import HOST_ZONES, INTERNET, REWARD_ZONE_OF, ZONES, TopologyBounds
 
 SMALL_BOUNDS = TopologyBounds(servers=(1, 2), user_hosts=(3, 4), services=(1, 2))
 
@@ -232,7 +232,7 @@ def test_restore_takes_host_offline_for_its_window():
     target = next(h for h in blue.zone_hosts if not sim.topology.hosts[h].server)
     result = step_with(sim, {"blue_restricted_a": ("Restore", target)})
     assert sim.hosts[target].restoring  # offline while reimaging
-    zone_label = sim.topology.reward_zone("restricted_zone_a")
+    zone_label = REWARD_ZONE_OF["restricted_zone_a"]
     assert StepEvent(zone_label, LOCAL_WORK_FAILS) in result.events
     sleep_step(sim)  # completion
     assert not sim.hosts[target].restoring
@@ -343,7 +343,7 @@ def test_degrade_requires_root_and_breaks_local_work():
     assert sim.hosts[entry].degraded
     if not sim.topology.hosts[entry].server:
         result = sleep_step(sim)
-        zone_label = sim.topology.reward_zone("contractor_uav")
+        zone_label = REWARD_ZONE_OF["contractor_uav"]
         assert StepEvent(zone_label, LOCAL_WORK_FAILS) in result.events
 
 
@@ -571,7 +571,7 @@ def test_green_access_to_compromised_service_can_spread_red():
 def test_degraded_user_host_fails_local_work_every_step():
     sim = ScenarioSim(quiet_config(), seed=28)
     victim = sim.topology.user_hosts()[0]
-    zone_label = sim.topology.reward_zone(sim.topology.hosts[victim].zone)
+    zone_label = REWARD_ZONE_OF[sim.topology.hosts[victim].zone]
     sim.hosts[victim].degraded = True
     for _ in range(3):
         result = sleep_step(sim)

@@ -14,7 +14,6 @@ from cyberevo.evolution import (
     CODON_MAX,
     GE_GENOME_LENGTH,
     INVALID_PENALTY,
-    DecodeOutcome,
     EvoConfig,
     Individual,
     MatrixTeamDecoder,
@@ -130,9 +129,10 @@ def test_matrix_decoder_genomes_and_mutation():
     genome = es.random_genome(rng)
     assert genome.shape == (180,)
     assert ((genome >= 0) & (genome < 1)).all()
-    outcome = es.decode(genome)
-    assert outcome.valid and len(outcome.team) == 1
-    assert isinstance(outcome.team[0], MatrixController)
+    individual = es.decode(genome)
+    assert individual.valid and len(individual.team) == 1
+    assert isinstance(individual.team[0], MatrixController)
+    assert individual.genome is genome
 
     before = genome.copy()
     frozen = es.mutate(genome, rng, EvoConfig(mutation_p=0.0))
@@ -157,12 +157,13 @@ def test_rule_decoder_genomes_and_decoding():
     assert decoder.genome_length == GE_GENOME_LENGTH
     genome = decoder.random_genome(rng)
     assert genome.min() >= 0 and genome.max() <= CODON_MAX
-    outcome = decoder.decode(genome)
-    if outcome.valid:
-        assert len(outcome.team) == 1
-        assert isinstance(outcome.team[0], RuleController)
-        assert outcome.program.startswith("def select_action_and_target")
-        assert outcome.ast is not None
+    individual = decoder.decode(genome)
+    assert individual.genome is genome
+    if individual.valid:
+        assert len(individual.team) == 1
+        assert isinstance(individual.team[0], RuleController)
+        assert individual.program.startswith("def select_action_and_target")
+        assert individual.team[0].ast is not None
     many = RuleTeamDecoder("red", mode="many")
     assert many.genome_length == GE_GENOME_LENGTH * 6
     mutated = decoder.mutate(genome, rng, EvoConfig(mutation_p=1.0))
@@ -174,10 +175,10 @@ def test_rule_decoder_many_mode_splits_chunks():
     decoder = RuleTeamDecoder("blue", mode="many", genome_length=4)
     assert decoder.genome_length == 20
     genome = np.array([0, 0, 1, 2] * 5)
-    outcome = decoder.decode(genome)
-    assert outcome.valid
-    assert len(outcome.team) == 5
-    assert outcome.program.count("action = Monitor") == 5
+    individual = decoder.decode(genome)
+    assert individual.valid
+    assert len(individual.team) == 5
+    assert individual.program.count("action = Monitor") == 5
 
 
 def test_make_decoder_maps_algorithms_to_representations():
@@ -200,7 +201,7 @@ class NeverValid:
 
     def decode(self, genome):
         self.calls += 1
-        return DecodeOutcome(team=None, valid=False)
+        return Individual(genome, None, False)
 
     def mutate(self, genome, rng, config):
         return genome.copy()
@@ -309,8 +310,8 @@ class ValidThenInvalid:
     def decode(self, genome):
         self.remaining -= 1
         if self.remaining >= 0:
-            return DecodeOutcome(team=[SleepController("blue")], valid=True)
-        return DecodeOutcome(team=None, valid=False)
+            return Individual(genome, [SleepController("blue")], True)
+        return Individual(genome, None, False)
 
     def mutate(self, genome, rng, config):
         return genome.copy()
@@ -347,7 +348,7 @@ class AlwaysFaults:
         return rng.random(4)
 
     def decode(self, genome):
-        return DecodeOutcome(team=[FixedActionController("blue", "Impact")], valid=True)
+        return Individual(genome, [FixedActionController("blue", "Impact")], True)
 
     def mutate(self, genome, rng, config):
         return genome.copy()

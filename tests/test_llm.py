@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from cyberevo.controllers.base import SleepController
-from cyberevo.evolution import EvoConfig, RuleTeamDecoder, evolve_one_sided
+from cyberevo.evolution import EvoConfig, RuleTeamDecoder, evolve_one_sided, fresh_individual
 from cyberevo.grammar.model import Grammar
 from cyberevo.grammar.program import parse_program, render_program
-from cyberevo.grammar.variants import load_grammar
+from cyberevo.grammar.variants import Variant, load_grammar
 from cyberevo.llm import (
     GRAMMAR_HEADER,
     INSTRUCTIONS,
@@ -29,7 +29,6 @@ from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.scenario.topology import TopologyBounds
 
 GRAMMAR = load_grammar("blue")
-DECODER = RuleTeamDecoder("blue")
 
 MONITOR_TEXT = (
     "def select_action_and_target(observation, name):\n"
@@ -81,10 +80,10 @@ def test_extract_code_prefers_the_last_fenced_block():
 
 def test_echo_client_is_the_identity_mutation():
     stats = LlmStats()
-    outcome = llm_mutate(EchoClient(), MONITOR_TEXT, GRAMMAR, DECODER, stats)
+    outcome = llm_mutate(EchoClient(), MONITOR_TEXT, GRAMMAR, stats)
     assert outcome.ok
     assert outcome.program == MONITOR_TEXT
-    assert outcome.ast is not None and outcome.team is not None
+    assert outcome.ast is not None
     assert (stats.calls, stats.successes) == (1, 1)
 
 
@@ -96,31 +95,33 @@ def test_scripted_client_cycles_its_responses():
 
 
 def test_expanding_mock_appends_one_legal_assignment():
-    client = ExpandingMockClient(GRAMMAR, seed=1)
+    client = ExpandingMockClient(seed=1)
     stats = LlmStats()
-    outcome = llm_mutate(client, MONITOR_TEXT, GRAMMAR, DECODER, stats)
+    outcome = llm_mutate(client, MONITOR_TEXT, GRAMMAR, stats)
     assert outcome.ok
     assert outcome.program != MONITOR_TEXT
     assert len(outcome.ast.action_statements) == 2
     # the result still parses, so mutation can be applied repeatedly
-    again = llm_mutate(client, outcome.program, GRAMMAR, DECODER, stats)
+    again = llm_mutate(client, outcome.program, GRAMMAR, stats)
     assert again.ok
     assert len(again.ast.action_statements) == 3
 
 
-def test_expanding_mock_reads_the_grammar_from_the_prompt():
-    client = ExpandingMockClient()  # no grammar given up front
-    red_grammar = load_grammar("red")
-    red_decoder = RuleTeamDecoder("red")
-    red_text = MONITOR_TEXT.replace("Monitor", "Impact")
-    stats = LlmStats()
-    outcome = llm_mutate(client, red_text, red_grammar, red_decoder, stats)
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("side", ["blue", "red"])
+def test_expanding_mock_reads_the_grammar_from_the_prompt(side, variant):
+    decoder = RuleTeamDecoder(side, variant)
+    seeded = fresh_individual(decoder, np.random.default_rng(12), 100)
+    assert seeded.valid
+    client = ExpandingMockClient()
+    outcome = llm_mutate(client, seeded.program, decoder.grammar, LlmStats())
     assert outcome.ok
     appended = outcome.ast.action_statements[-1]
-    assert appended.action in red_grammar.action_terminals()
+    assert appended.action in decoder.grammar.action_terminals()
+    reparsed = parse_program(outcome.program, decoder.grammar)
+    assert render_program(reparsed) == outcome.program
     with pytest.raises(ValueError):
         client.complete("a prompt without any grammar section")
-
 
 
 def test_expanding_mock_parses_each_grammar_section_once(monkeypatch):
@@ -149,12 +150,12 @@ def test_ungrammatical_reply_counts_as_parse_failure():
     stats = LlmStats()
     outcome = llm_mutate(
         ScriptedClient(["```python\nimport os\n```"]),
-        MONITOR_TEXT, GRAMMAR, DECODER, stats,
+        MONITOR_TEXT, GRAMMAR, stats,
     )
     assert not outcome.ok
-    assert outcome.team is None
+    assert outcome.program is None and outcome.ast is None
     assert (stats.calls, stats.successes, stats.parse_failures) == (1, 0, 1)
-    assert stats.errors and stats.errors[0].startswith("parse:")
+    assert outcome.error
 
 
 def test_transport_error_counts_separately():
@@ -163,7 +164,7 @@ def test_transport_error_counts_separately():
             raise ConnectionError("socket closed")
 
     stats = LlmStats()
-    outcome = llm_mutate(Broken(), MONITOR_TEXT, GRAMMAR, DECODER, stats)
+    outcome = llm_mutate(Broken(), MONITOR_TEXT, GRAMMAR, stats)
     assert not outcome.ok
     assert (stats.calls, stats.transport_failures, stats.parse_failures) == (1, 1, 0)
     assert "socket closed" in outcome.error
@@ -179,7 +180,7 @@ def test_validity_accounting_conserves_calls():
     stats = LlmStats()
     client = ScriptedClient(responses)
     for _ in responses:
-        llm_mutate(client, MONITOR_TEXT, GRAMMAR, DECODER, stats)
+        llm_mutate(client, MONITOR_TEXT, GRAMMAR, stats)
     assert stats.calls == 4
     assert stats.successes + stats.parse_failures + stats.transport_failures == stats.calls
     assert (stats.successes, stats.parse_failures) == (2, 2)
@@ -187,7 +188,7 @@ def test_validity_accounting_conserves_calls():
 
 def test_token_fallback_counts_whitespace_words():
     stats = LlmStats()
-    llm_mutate(EchoClient(), MONITOR_TEXT, GRAMMAR, DECODER, stats)
+    llm_mutate(EchoClient(), MONITOR_TEXT, GRAMMAR, stats)
     prompt = build_prompt(GRAMMAR, MONITOR_TEXT)
     reply = EchoClient().complete(prompt).text
     assert stats.tokens_total == len(prompt.split()) + len(reply.split())
@@ -201,17 +202,17 @@ def test_reported_token_counts_win_over_the_fallback():
             )
 
     stats = LlmStats()
-    llm_mutate(Counting(), MONITOR_TEXT, GRAMMAR, DECODER, stats)
+    llm_mutate(Counting(), MONITOR_TEXT, GRAMMAR, stats)
     assert stats.tokens_total == 123
     assert stats.latency_total == pytest.approx(0.5)
 
 
 def test_accepted_mutations_are_render_parse_fixpoints():
-    client = ExpandingMockClient(GRAMMAR, seed=2)
+    client = ExpandingMockClient(seed=2)
     stats = LlmStats()
     program = MONITOR_TEXT
     for _ in range(5):
-        outcome = llm_mutate(client, program, GRAMMAR, DECODER, stats)
+        outcome = llm_mutate(client, program, GRAMMAR, stats)
         assert outcome.ok
         reparsed = parse_program(outcome.program, GRAMMAR)
         assert render_program(reparsed) == outcome.program
@@ -225,7 +226,7 @@ def test_stats_summary_and_formatting():
     summary = stats.summary()
     assert summary["success_rate"] == 0.75
     assert summary["mean_latency"] == 0.5
-    text = format_stats(stats)
+    text = format_stats(summary)
     assert "ok: 3" in text and "tokens: 50" in text
     assert LlmStats().summary()["success_rate"] == 0.0  # no division by zero
 
@@ -234,7 +235,7 @@ def test_stats_summary_and_formatting():
 # integration with the evolutionary loop
 
 
-def small_llm_run(client, stats):
+def small_llm_run(client):
     return evolve_one_sided(
         side="blue",
         decoder=RuleTeamDecoder("blue"),
@@ -244,24 +245,24 @@ def small_llm_run(client, stats):
         master_seed=8,
         label="GE-LLM-B",
         llm_client=client,
-        llm_stats=stats,
     )
 
 
 def test_llm_children_are_detached_from_their_genomes():
-    stats = LlmStats()
-    result = small_llm_run(ExpandingMockClient(), stats)
-    assert stats.calls > 0
-    assert result.llm_report is not None
-    assert result.llm_report["calls"] == stats.calls
-    assert stats.successes == stats.calls  # the mock always mutates legally
+    result = small_llm_run(ExpandingMockClient())
+    report = result.llm_report
+    assert report is not None
+    assert report["calls"] > 0
+    failures = report["parse_failures"] + report["transport_failures"]
+    assert report["successes"] + failures == report["calls"]
+    assert report["successes"] == report["calls"]  # the mock always mutates legally
 
 
 def test_all_invalid_replies_degrade_to_random_replacement():
-    stats = LlmStats()
-    result = small_llm_run(ScriptedClient(["garbage that parses nowhere"]), stats)
-    assert stats.successes == 0
-    assert stats.parse_failures == stats.calls > 0
+    result = small_llm_run(ScriptedClient(["garbage that parses nowhere"]))
+    report = result.llm_report
+    assert report["successes"] == 0
+    assert report["parse_failures"] == report["calls"] > 0
     # the run still completed, with real (non-detached) individuals scored
     assert len(result.trace.records) == 2
     for record in result.trace.records:

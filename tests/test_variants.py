@@ -151,11 +151,11 @@ def test_fixed_variants_consume_no_codons_for_targets():
         decoder = RuleTeamDecoder("red", variant)
         seen = 0
         while seen < 50:
-            outcome = decoder.decode(decoder.random_genome(rng))
-            if not outcome.valid:
+            individual = decoder.decode(decoder.random_genome(rng))
+            if not individual.valid:
                 continue
             seen += 1
-            assert outcome.ast.target_statements == (TargetAssign(heuristic),)
+            assert individual.team[0].ast.target_statements == (TargetAssign(heuristic),)
 
 
 def test_tc_actually_evolves_target_choices():
@@ -163,9 +163,9 @@ def test_tc_actually_evolves_target_choices():
     decoder = RuleTeamDecoder("red", Variant.TC)
     heuristics = set()
     for _ in range(200):
-        outcome = decoder.decode(decoder.random_genome(rng))
-        if outcome.valid:
-            heuristics.update(leaf_heuristics(outcome.ast.target_statements))
+        individual = decoder.decode(decoder.random_genome(rng))
+        if individual.valid:
+            heuristics.update(leaf_heuristics(individual.team[0].ast.target_statements))
     assert len(heuristics) >= 2  # the section is genuinely under evolutionary control
 
 
