@@ -268,7 +268,8 @@ def _make_children(
         parent_a = tournament_select(population, rng, evo.tournament_size)
         parent_b = tournament_select(population, rng, evo.tournament_size)
         detached = parent_a.detached or parent_b.detached
-        if not detached and rng.random() < evo.crossover_p:
+        crossed = not detached and rng.random() < evo.crossover_p
+        if crossed:
             genomes = one_point_crossover(parent_a.genome, parent_b.genome, rng)
         else:
             genomes = (parent_a.genome.copy(), parent_b.genome.copy())
@@ -276,7 +277,9 @@ def _make_children(
             if len(children) >= needed:
                 break
             if llm_client is not None:
-                child = _llm_child(parent, genome, decoder, llm_client, llm_stats, rng, evo)
+                child = _llm_child(
+                    parent, genome, crossed, decoder, llm_client, llm_stats, rng, evo
+                )
             else:
                 child = decoder.decode(decoder.mutate(genome, rng, evo))
                 if not child.valid:
@@ -288,14 +291,20 @@ def _make_children(
 def _llm_child(
     parent: Individual,
     genome: np.ndarray,
+    crossed: bool,
     decoder,
     client,
     stats,
     rng: np.random.Generator,
     evo: EvoConfig,
 ) -> Individual:
-    """Mutate by editing the parent's program text through the client."""
-    if parent.detached:
+    """Mutate by editing the parent's program text through the client.
+
+    A valid parent whose genome was not crossed over already holds the
+    program (decoded or, when detached, edited), so only a crossed-over
+    genome or an invalid parent's genome is decoded here.
+    """
+    if parent.valid and not crossed:
         program = parent.program
     else:
         decoded = decoder.decode(genome)

@@ -3,14 +3,21 @@
 `render_program` lays out a finished derivation tree as readable,
 Python-like text with four-space indentation.  `parse_program` does the
 reverse: it ignores all whitespace and reconstructs a derivation tree
-by matching the grammar's productions against the remaining characters
-with full backtracking.  Round-tripping a tree through render and parse
-yields a structurally identical tree.
+in one ordered-choice descent over the remaining characters.  A list
+rule of the form ``X: Y | Y X``, with ``Y`` a rule, reads ``Y`` as
+often as it matches; every other rule takes its first alternative that
+matches, with no backtracking into an alternative once it has matched.
+On the packaged grammars that finds the tree a full backtracking search
+finds first, because no terminal alternative is a prefix of a sibling
+and what follows a list cannot start one of its items;
+``tests/test_program.py`` checks both properties and compares the two
+searches.  Round-tripping a tree through render and parse yields a
+structurally identical tree.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import weakref
 
 from ..errors import ProgramParseError
 from .mapping import tree_terminals
@@ -62,51 +69,98 @@ def _squish(text: str) -> str:
     return "".join(text.split())
 
 
-def _match(
-    grammar: Grammar, symbol: Symbol, text: str, pos: int
-) -> Iterator[tuple[DerivNode, int]]:
-    if isinstance(symbol, Terminal):
-        token = _squish(symbol.value)
-        if token and text.startswith(token, pos):
-            node = DerivNode(symbol)
-            yield node, pos + len(token)
-        return
-    for production in grammar.rules[symbol.name]:
-        for children, end in _match_sequence(grammar, production, 0, text, pos):
-            node = DerivNode(symbol)
-            node.children = children
-            yield node, end
+# A compiled rule is its nonterminal, the rule that a list rule repeats
+# (None for any other rule) and its alternatives, each a tuple of items:
+# a squished terminal and its symbol, or None and a rule name.
+_Item = tuple[str | None, Symbol | str]
+_Rule = tuple[NonTerminal, str | None, tuple[tuple[_Item, ...], ...]]
+
+_TABLES: dict[int, dict[str, _Rule]] = {}
 
 
-def _match_sequence(
-    grammar: Grammar,
-    production: tuple[Symbol, ...],
-    index: int,
-    text: str,
-    pos: int,
-) -> Iterator[tuple[list[DerivNode], int]]:
-    if index == len(production):
-        yield [], pos
-        return
-    for node, mid in _match(grammar, production[index], text, pos):
-        for rest, end in _match_sequence(grammar, production, index + 1, text, mid):
-            yield [node, *rest], end
+def _item(symbol: Symbol) -> _Item:
+    if isinstance(symbol, NonTerminal):
+        return None, symbol.name
+    # Squished text holds no whitespace, so a terminal that squishes to
+    # nothing, and must never match, becomes one that cannot.
+    return _squish(symbol.value) or " ", symbol
+
+
+def _compile(grammar: Grammar) -> dict[str, _Rule]:
+    table: dict[str, _Rule] = {}
+    for name, productions in grammar.rules.items():
+        symbol = NonTerminal(name)
+        first = productions[0] if productions else ()
+        if (
+            len(first) == 1
+            and isinstance(first[0], NonTerminal)
+            and productions == (first, (*first, symbol))
+        ):
+            table[name] = (symbol, first[0].name, ())
+        else:
+            alternatives = tuple(tuple(map(_item, p)) for p in productions)
+            table[name] = (symbol, None, alternatives)
+    return table
+
+
+def _table(grammar: Grammar) -> dict[str, _Rule]:
+    """The compiled rules of `grammar`, built once per grammar object."""
+    table = _TABLES.get(id(grammar))
+    if table is None:
+        table = _TABLES[id(grammar)] = _compile(grammar)
+        weakref.finalize(grammar, _TABLES.pop, id(grammar), None)
+    return table
+
+
+def _parse(
+    table: dict[str, _Rule], name: str, text: str, pos: int
+) -> tuple[DerivNode, int] | None:
+    """The first alternative of rule `name` that matches at `pos`, and its end."""
+    symbol, repeated, alternatives = table[name]
+    if repeated is not None:
+        items = []
+        while (found := _parse(table, repeated, text, pos)) is not None:
+            node, pos = found
+            items.append(node)
+        if not items:
+            return None
+        tail = DerivNode(symbol, [items.pop()])
+        while items:
+            tail = DerivNode(symbol, [items.pop(), tail])
+        return tail, pos
+    for alternative in alternatives:
+        children = []
+        end = pos
+        for token, child in alternative:
+            if token is None:
+                found = _parse(table, child, text, end)  # type: ignore[arg-type]
+                if found is None:
+                    break
+                node, end = found
+                children.append(node)
+            elif text.startswith(token, end):
+                children.append(DerivNode(child))  # type: ignore[arg-type]
+                end += len(token)
+            else:
+                break
+        else:
+            return DerivNode(symbol, children), end
+    return None
 
 
 def parse_program(text: str, grammar: Grammar) -> DerivNode:
     """Reconstruct the derivation tree of rendered (or LLM-written) code.
 
     All whitespace is ignored, so indentation and line breaks carry no
-    meaning.  Raises `ProgramParseError` when no complete derivation of
-    the grammar matches the text.
+    meaning.  Raises `ProgramParseError` when the text does not derive
+    from the grammar's start rule.
     """
     squished = _squish(text)
     if not squished:
         raise ProgramParseError("program text is empty")
-    start = NonTerminal(grammar.start)
-    for tree, end in _match(grammar, start, squished, 0):
-        if end == len(squished):
-            return tree
-    raise ProgramParseError(
-        f"text does not derive from rule {grammar.start!r}: {text[:80]!r}"
-    )
+    found = _parse(_table(grammar), grammar.start, squished, 0)
+    if found is None or found[1] != len(squished):
+        raise ProgramParseError(
+            f"text does not derive from rule {grammar.start!r}: {text[:80]!r}"
+        )
+    return found[0]

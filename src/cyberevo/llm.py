@@ -4,8 +4,9 @@ The mutation operator works on rendered controller code, not on the
 genome: the program, the grammar it must respect, and an instruction
 block are packed into one prompt; the completion is parsed back through
 the grammar.  Anything that fails — transport errors, refusals,
-ungrammatical code — turns into a flagged invalid individual rather
-than an exception, and every call lands in `LlmStats`.
+ungrammatical code, code nested deeper than the stack allows — turns
+into a flagged invalid individual rather than an exception, and every
+call lands in `LlmStats`.
 
 Besides the HTTP client there are deterministic in-process clients for
 tests and offline runs.
@@ -258,9 +259,13 @@ def llm_mutate(
     code = extract_code(completion.text)
     try:
         tree = parse_program(code, grammar)
+        ast = build_ast(tree, grammar)
+        program = render_program(tree)
     except ProgramParseError as exc:
         stats.parse_failures += 1
         return MutationOutcome(ok=False, error=str(exc))
-    ast = build_ast(tree, grammar)
+    except RecursionError:  # an if chain nested deeper than the stack allows
+        stats.parse_failures += 1
+        return MutationOutcome(ok=False, error="program nests too deeply")
     stats.successes += 1
-    return MutationOutcome(ok=True, program=render_program(tree), ast=ast)
+    return MutationOutcome(ok=True, program=program, ast=ast)

@@ -9,6 +9,8 @@ contractor network hosting UAV control services.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 from ..errors import ScenarioConfigError
 from ..seeds import spawn_stream
@@ -65,8 +67,7 @@ class TopologyBounds:
                 raise ScenarioConfigError(f"{name}={(low, high)} must satisfy 1 <= low <= high")
 
 
-@dataclass(frozen=True)
-class Host:
+class Host(NamedTuple):
     id: str
     zone: str
     server: bool
@@ -107,19 +108,32 @@ class Topology:
                 raise ScenarioConfigError(f"host {host.id} has {host.services} services, outside {bounds.services}")
 
 
+@lru_cache(maxsize=None)
+def _host_ids(zone: str, kind: str, count: int) -> tuple[str, ...]:
+    return tuple(f"{zone}_{kind}{i}" for i in range(count))
+
+
 def generate_topology(seed: int, bounds: TopologyBounds = TopologyBounds()) -> Topology:
-    """Generate a random topology; identical seeds give identical results."""
+    """Generate a random topology; identical seeds give identical results.
+
+    Per zone it draws the server count, the user-host count, then each
+    host's service count, servers first.
+    """
     rng = spawn_stream(seed)
+    servers_low, servers_high = bounds.servers
+    users_low, users_high = bounds.user_hosts
+    services_low, services_high = bounds.services
+    servers_draw = rng.below(servers_high - servers_low + 1)
+    users_draw = rng.below(users_high - users_low + 1)
+    services_draw = rng.below(services_high - services_low + 1)
     hosts: dict[str, Host] = {}
     for zone in HOST_ZONES:
-        n_servers = int(rng.integers(bounds.servers[0], bounds.servers[1] + 1))
-        n_users = int(rng.integers(bounds.user_hosts[0], bounds.user_hosts[1] + 1))
-        for i in range(n_servers):
-            hid = f"{zone}_srv{i}"
-            hosts[hid] = Host(hid, zone, True, int(rng.integers(bounds.services[0], bounds.services[1] + 1)))
-        for i in range(n_users):
-            hid = f"{zone}_usr{i}"
-            hosts[hid] = Host(hid, zone, False, int(rng.integers(bounds.services[0], bounds.services[1] + 1)))
+        n_servers = servers_low + servers_draw()
+        n_users = users_low + users_draw()
+        for hid in _host_ids(zone, "srv", n_servers):
+            hosts[hid] = Host(hid, zone, True, services_low + services_draw())
+        for hid in _host_ids(zone, "usr", n_users):
+            hosts[hid] = Host(hid, zone, False, services_low + services_draw())
     return Topology(seed=seed, hosts=hosts)
 
 

@@ -3,13 +3,17 @@
 These are deliberately written from the rules' plain-language
 description, with different data structures than the library (an
 explicit sentential-form list instead of a work stack), so agreement
-between the two is meaningful.
+between the two is meaningful.  The program-text oracle enumerates
+every derivation by full backtracking, where the library makes one
+ordered-choice pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+
+from cyberevo.grammar.model import DerivNode, NonTerminal, Terminal
 
 # A grammar spec is {rule: [production, ...]} where each production is a
 # list of ("T", text) terminals and ("N", rule) references.  The first
@@ -85,3 +89,42 @@ def all_genomes(max_length: int, codon_bound: int):
     """Every codon tuple of length 0..max_length with codons below the bound."""
     for length in range(max_length + 1):
         yield from iter_product(range(codon_bound), repeat=length)
+
+
+def _squish(text: str) -> str:
+    return "".join(text.split())
+
+
+def _match(grammar, symbol, text: str, pos: int):
+    """Every (node, end) that `symbol` derives from `pos`, in alternative order."""
+    if isinstance(symbol, Terminal):
+        token = _squish(symbol.value)
+        if token and text.startswith(token, pos):
+            yield DerivNode(symbol), pos + len(token)
+        return
+    for production in grammar.rules[symbol.name]:
+        for children, end in _match_sequence(grammar, production, 0, text, pos):
+            node = DerivNode(symbol)
+            node.children = children
+            yield node, end
+
+
+def _match_sequence(grammar, production, index: int, text: str, pos: int):
+    if index == len(production):
+        yield [], pos
+        return
+    for node, mid in _match(grammar, production[index], text, pos):
+        for rest, end in _match_sequence(grammar, production, index + 1, text, mid):
+            yield [node, *rest], end
+
+
+def oracle_parse_program(text: str, grammar):
+    """The first derivation, in alternative order, that spans the squished
+    text, found by full backtracking; None when no derivation does."""
+    squished = _squish(text)
+    if not squished:
+        return None
+    for tree, end in _match(grammar, NonTerminal(grammar.start), squished, 0):
+        if end == len(squished):
+            return tree
+    return None

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+import cyberevo.llm as llm_module
+from cyberevo import evolution
 from cyberevo.controllers.base import SleepController
 from cyberevo.evolution import EvoConfig, RuleTeamDecoder, evolve_one_sided, fresh_individual
 from cyberevo.grammar.model import Grammar
@@ -220,6 +224,43 @@ def test_accepted_mutations_are_render_parse_fixpoints():
     assert stats.successes == 5
 
 
+def program_with(body: str) -> str:
+    return MONITOR_TEXT.replace("    action = Monitor\n", body)
+
+
+def test_a_long_reply_is_accepted():
+    body = "    action = Monitor\n" * 2000
+    stats = LlmStats()
+    outcome = llm_mutate(
+        ScriptedClient([f"```python\n{program_with(body)}```"]), MONITOR_TEXT, GRAMMAR, stats
+    )
+    assert outcome.ok, outcome.error
+    assert len(outcome.ast.action_statements) == 2000
+    assert outcome.program == program_with(body)
+    assert (stats.successes, stats.parse_failures) == (1, 0)
+
+
+def test_a_too_deeply_nested_reply_counts_as_parse_failure():
+    depth = 3 * sys.getrecursionlimit()
+    body = "    " + "if TRUE == observation['success']: " * depth + "action = Monitor\n"
+    stats = LlmStats()
+    outcome = llm_mutate(ScriptedClient([program_with(body)]), MONITOR_TEXT, GRAMMAR, stats)
+    assert not outcome.ok and outcome.error
+    assert (stats.calls, stats.successes, stats.parse_failures) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("stage", ["build_ast", "render_program"])
+def test_a_stack_overflow_after_the_parse_counts_as_parse_failure(monkeypatch, stage):
+    def overflow(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(llm_module, stage, overflow)
+    stats = LlmStats()
+    outcome = llm_mutate(EchoClient(), MONITOR_TEXT, GRAMMAR, stats)
+    assert not outcome.ok
+    assert (stats.calls, stats.successes, stats.parse_failures) == (1, 0, 1)
+
+
 def test_stats_summary_and_formatting():
     stats = LlmStats(calls=4, successes=3, parse_failures=1, tokens_total=50,
                      latency_total=2.0)
@@ -267,3 +308,79 @@ def test_all_invalid_replies_degrade_to_random_replacement():
     assert len(result.trace.records) == 2
     for record in result.trace.records:
         assert record.best is not None
+
+
+def seeded_population(decoder, seed: int, size: int = 4) -> list:
+    rng = np.random.default_rng(seed)
+    population = [fresh_individual(decoder, rng, 100) for _ in range(size)]
+    for fitness, individual in enumerate(population):
+        assert individual.valid and not individual.detached
+        individual.fitness = float(fitness)
+    return population
+
+
+def make_children(population, decoder, crossover_p: float, needed: int):
+    evo = EvoConfig(population_size=len(population), crossover_p=crossover_p)
+    return evolution._make_children(
+        population, decoder, np.random.default_rng(5), evo, needed,
+        ExpandingMockClient(seed=6), LlmStats(),
+    )
+
+
+def test_accepted_llm_children_are_detached_and_keep_their_parents_genome():
+    decoder = RuleTeamDecoder("blue")
+    population = seeded_population(decoder, 31)
+    children = make_children(population, decoder, crossover_p=0.0, needed=8)
+    for child in children:
+        assert child.valid and child.detached
+        parents = [p for p in population if np.array_equal(p.genome, child.genome)]
+        assert len(parents) == 1
+        assert child.genome is not parents[0].genome
+        # the edit appends one statement to the parent's program
+        assert len(child.team[0].ast.action_statements) == (
+            len(decoder.decode(parents[0].genome).team[0].ast.action_statements) + 1
+        )
+
+
+def test_detached_parents_never_go_through_crossover(monkeypatch):
+    crossed = []
+    real_crossover = evolution.one_point_crossover
+
+    def spy(genome_a, genome_b, rng):
+        crossed.append((genome_a, genome_b))
+        return real_crossover(genome_a, genome_b, rng)
+
+    monkeypatch.setattr(evolution, "one_point_crossover", spy)
+    decoder = RuleTeamDecoder("blue")
+    population = seeded_population(decoder, 32)
+    detached = make_children(population, decoder, crossover_p=1.0, needed=4)
+    assert len(crossed) == 2  # attached parents always cross at p = 1
+    for fitness, child in enumerate(detached):
+        child.fitness = float(fitness)
+    crossed.clear()
+    make_children(detached, decoder, crossover_p=1.0, needed=6)
+    assert crossed == []
+    mixed = detached[:2] + population[:2]
+    make_children(mixed, decoder, crossover_p=1.0, needed=20)
+    assert crossed  # two attached parents still cross
+    for genomes in crossed:
+        for genome in genomes:
+            assert not any(genome is child.genome for child in detached)
+
+
+def test_llm_children_of_uncrossed_parents_are_not_decoded_again(monkeypatch):
+    decoder = RuleTeamDecoder("blue")
+    population = seeded_population(decoder, 33)
+    decoded = []
+    real_decode = RuleTeamDecoder.decode
+
+    def spy(self, genome):
+        decoded.append(genome)
+        return real_decode(self, genome)
+
+    monkeypatch.setattr(RuleTeamDecoder, "decode", spy)
+    children = make_children(population, decoder, crossover_p=0.0, needed=6)
+    assert all(child.detached for child in children)
+    assert decoded == []
+    children = make_children(population, decoder, crossover_p=1.0, needed=6)
+    assert len(decoded) >= len(children)  # each crossed-over genome is decoded
