@@ -261,11 +261,8 @@ def llm_mutate(
         tree = parse_program(code, grammar)
         ast = build_ast(tree, grammar)
         program = render_program(tree)
-    except ProgramParseError as exc:
+    except (ProgramParseError, RecursionError) as exc:  # or an if chain nested too deeply
         stats.parse_failures += 1
         return MutationOutcome(ok=False, error=str(exc))
-    except RecursionError:  # an if chain nested deeper than the stack allows
-        stats.parse_failures += 1
-        return MutationOutcome(ok=False, error="program nests too deeply")
     stats.successes += 1
     return MutationOutcome(ok=True, program=program, ast=ast)

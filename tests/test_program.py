@@ -152,7 +152,7 @@ def test_terminals_that_squish_to_nothing_never_match():
 
 
 # ---------------------------------------------------------------------------
-# the ordered-choice parser against the full-backtracking oracle
+# what the ordered-choice parse relies on, and the full-backtracking oracle
 
 
 def _squished(symbol) -> str:
