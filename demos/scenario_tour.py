@@ -59,8 +59,8 @@ def main() -> None:
         submissions = {}
         for name in sim.idle_agent_names():
             team = blue_team if sim.side_of(name) == "blue" else red_team
-            controller = controller_for(team, name)
             context = sim.agent_context(name)
+            controller = controller_for(team, context.agent)
             action, heuristic = controller.decide(observations[name], context, rng)
             target = resolve_heuristic_target(action, heuristic, context, rng)
             submissions[name] = (action, target)

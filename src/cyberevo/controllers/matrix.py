@@ -14,15 +14,13 @@ import numpy as np
 
 from ..errors import ControllerError
 from ..scenario import actions as act
+from ..scenario.engine import team_size
 from ..seeds import ScalarStream
 from .base import RANDOM_TARGET
 from .classifier import classify_state, state_priority
 
 RED_MATRIX_ACTIONS = tuple(a for a in act.RED_ACTIONS if a != "Withdraw")
 BLUE_MATRIX_ACTIONS = tuple(a for a in act.BLUE_ACTIONS if a != "Sleep")
-
-RED_TEAM_SIZE = 6
-BLUE_TEAM_SIZE = 5
 
 DISCRETE_LEVELS = (0.0, 0.25, 0.5, 0.75)
 
@@ -39,10 +37,6 @@ def matrix_actions(side: str) -> tuple[str, ...]:
     raise ControllerError(f"no matrix layout for side {side!r}")
 
 
-def team_size(side: str) -> int:
-    return RED_TEAM_SIZE if side == act.RED else BLUE_TEAM_SIZE
-
-
 def cells_per_controller(side: str) -> int:
     return len(state_priority(side)) * len(matrix_actions(side))
 
@@ -53,11 +47,10 @@ def team_genome_length(side: str, mode: str = "one") -> int:
     One shared controller keeps the fixed team length with padding; one
     controller per member needs the full product of cells and members.
     """
-    if mode == "one":
+    count = team_size(side, mode)
+    if count == 1:
         return max(TEAM_GENOME_LENGTH, cells_per_controller(side))
-    if mode == "many":
-        return cells_per_controller(side) * team_size(side)
-    raise ControllerError(f"unknown controller mode {mode!r}")
+    return cells_per_controller(side) * count
 
 
 def normalize_row(values: Sequence[float | None]) -> np.ndarray:
@@ -137,7 +130,7 @@ def decode_matrix_team(
     controller; surplus genes are padding and stay unused.
     """
     cells = cells_per_controller(side)
-    count = 1 if mode == "one" else team_size(side)
+    count = team_size(side, mode)
     needed = cells * count
     genome = np.asarray(genome)
     if genome.ndim != 1 or genome.shape[0] < needed:

@@ -1,12 +1,12 @@
 """Run full scenario episodes with controller teams on both sides.
 
-A team is a sequence of controllers indexed by agent slot.  A length-1
-team is broadcast: every agent of that side shares the single
-controller.  Target heuristics returned by controllers are resolved
-here, from the candidate list the agent's decision context gives for
-the chosen action.  Every decision and target draw of an episode comes
-from its controller stream, the `ScalarStream` of
-``(seed, STREAM_CONTROLLER)``.
+A team is a sequence of controllers indexed by agent slot (see
+``scenario.engine.team_size``).  A length-1 team is broadcast: every
+agent of that side shares the single controller.  Target heuristics
+returned by controllers are resolved here, from the candidate list the
+agent's decision context gives for the chosen action.  Every decision
+and target draw of an episode comes from its controller stream, the
+`ScalarStream` of ``(seed, STREAM_CONTROLLER)``.
 """
 
 from __future__ import annotations
@@ -18,26 +18,17 @@ from .controllers.base import Controller
 from .controllers.rules import resolve_target
 from .scenario.actions import TARGET_KINDS, TARGET_NONE
 from .scenario.config import ScenarioConfig
-from .scenario.engine import BLUE_AGENT_ZONES, AgentContext, ScenarioSim
+from .scenario.engine import AgentContext, BlueAgent, RedAgent, ScenarioSim
 from .seeds import STREAM_CONTROLLER, ScalarStream, spawn_stream
-
-BLUE_AGENT_ORDER = tuple(name for name, _ in BLUE_AGENT_ZONES)
-_BLUE_SLOTS = {name: i for i, name in enumerate(BLUE_AGENT_ORDER)}
 
 Team = Sequence[Controller]
 
 
-def agent_slot(name: str) -> int:
-    """Slot index of an agent name on its own side."""
-    if name in _BLUE_SLOTS:
-        return _BLUE_SLOTS[name]
-    return int(name.rsplit("_", 1)[1])
-
-
-def controller_for(team: Team, name: str) -> Controller:
+def controller_for(team: Team, agent: RedAgent | BlueAgent) -> Controller:
+    """The controller that decides for ``agent``: the shared one, or its slot's."""
     if len(team) == 1:
         return team[0]
-    return team[agent_slot(name)]
+    return team[agent.slot]
 
 
 def resolve_heuristic_target(
@@ -83,7 +74,7 @@ def run_episode(
             name = agent.name
             controller = controllers.get(name)
             if controller is None:
-                controller = controllers[name] = controller_for(teams[agent.side], name)
+                controller = controllers[name] = controller_for(teams[agent.side], agent)
             context = sim.agent_context(name)
             action, heuristic = controller.decide(observations[name], context, rng)
             target = resolve_heuristic_target(action, heuristic, context, rng)

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .controllers.matrix import decode_matrix_team, team_genome_length, team_size
+from .controllers.matrix import decode_matrix_team, team_genome_length
 from .controllers.rules import RuleController
 from .episodes import Team, run_episode
 from .errors import ControllerError, SimulationFault
@@ -38,6 +38,7 @@ from .grammar.program import render_program
 from .grammar.variants import Variant, load_grammar
 from .llm import LlmStats, llm_mutate
 from .scenario.config import ScenarioConfig
+from .scenario.engine import team_size
 from .seeds import STREAM_EPISODE, STREAM_VARIATION, derive_seed, spawn_generator
 from .traces import FitnessTrace
 
@@ -70,8 +71,17 @@ class EvoConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.elite_count < 0 or self.elite_count >= self.population_size:
             raise ValueError("elite_count must be in [0, population_size)")
-        if self.controllers_per_team not in ("one", "many"):
-            raise ValueError("controllers_per_team must be 'one' or 'many'")
+        for name in ("crossover_p", "mutation_p"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if self.es_sigma < 0:
+            raise ValueError("es_sigma must be non-negative")
+        if self.invalid_retry_cap < 0:
+            raise ValueError("invalid_retry_cap must be non-negative")
+        try:
+            team_size("red", self.controllers_per_team)
+        except ControllerError as exc:
+            raise ValueError(str(exc)) from None
 
 
 @dataclass
@@ -133,7 +143,7 @@ class RuleTeamDecoder:
         self.variant = Variant(variant)
         self.mode = mode
         self.grammar = load_grammar(side, self.variant)
-        self.controllers = 1 if mode == "one" else team_size(side)
+        self.controllers = team_size(side, mode)
         self.genome_length = genome_length * self.controllers
         self._chunk = genome_length
 

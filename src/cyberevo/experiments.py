@@ -167,6 +167,8 @@ def _make_llm_client(settings: dict, master_seed: int):
         env = settings.get("api_key_env")
         if api_key is None and env:
             api_key = os.environ.get(env)
+            if not api_key:
+                raise ExperimentSpecError(f"http llm settings name api_key_env {env!r}, which is unset or empty")
         return HttpClient(url, model, api_key=api_key, timeout=settings.get("timeout", 30.0))
     raise ExperimentSpecError(f"unknown llm client kind {kind!r}")
 
@@ -245,7 +247,7 @@ def run_experiment(
         "episodes_total": result.episodes_total,
         "seed_scheme": SEED_SCHEME,
         "evolution_config": asdict(evo),
-        "scenario_config": scenario.to_dict(),
+        "scenario_config": asdict(scenario),
     }
     if result.llm_report is not None:
         meta["llm"] = result.llm_report

@@ -29,8 +29,9 @@ compromised host draws one more `random()` for a red spawn.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from ..errors import SimulationFault
+from ..errors import ControllerError, SimulationFault
 from ..seeds import STREAM_TOPOLOGY, ScalarStream, derive_seed, spawn_stream
 from . import actions as act
 from .config import ScenarioConfig
@@ -39,6 +40,7 @@ from .rewards import (
     ACCESS_SERVICE_FAILS,
     LOCAL_WORK_FAILS,
     RED_IMPACT_ACCESS,
+    RewardTable,
     StepEvent,
     phase_of,
     reward_for,
@@ -70,6 +72,11 @@ _GREEN_FAILURES = {
     for zone in ZONES for kind in (LOCAL_WORK_FAILS, ACCESS_SERVICE_FAILS)
 }
 
+# The scenario's fixed structure.  Red has `RED_SLOTS` agent slots, named
+# `red_<slot>`; blue agent `i` is entry `i` of `BLUE_AGENT_ZONES`.
+# An agent's slot picks its controller in a one-per-agent team.
+RED_SLOTS = 6
+_RED_SLOT_OF = {f"red_{slot}": slot for slot in range(RED_SLOTS)}
 BLUE_AGENT_ZONES = (
     ("blue_restricted_a", ("restricted_zone_a",)),
     ("blue_operational_a", ("operational_zone_a",)),
@@ -77,6 +84,21 @@ BLUE_AGENT_ZONES = (
     ("blue_operational_b", ("operational_zone_b",)),
     ("blue_hq", ("public_access_zone", "admin_zone", "office_network")),
 )
+
+
+@lru_cache(maxsize=None)
+def _reward_table() -> RewardTable:
+    """The packaged reward table, read on first use."""
+    return RewardTable.default()
+
+
+def team_size(side: str, controllers_per_team: str) -> int:
+    """Controllers in a team: one shared by the side, or one per agent slot."""
+    if controllers_per_team == "one":
+        return 1
+    if controllers_per_team == "many":
+        return RED_SLOTS if side == act.RED else len(BLUE_AGENT_ZONES)
+    raise ControllerError(f"controllers_per_team must be 'one' or 'many', not {controllers_per_team!r}")
 
 
 class HostRuntime:
@@ -138,11 +160,13 @@ class RedAgent:
 
 class BlueAgent:
     side = act.BLUE
-    __slots__ = ("name", "zones", "home_host", "zone_hosts", "pending",
+    __slots__ = ("name", "slot", "zones", "home_host", "zone_hosts", "pending",
                  "last_success", "monitor_step", "analysed_clean_step")
 
-    def __init__(self, name: str, zones: tuple[str, ...], home_host: str, zone_hosts: list[str]):
+    def __init__(self, name: str, slot: int, zones: tuple[str, ...], home_host: str,
+                 zone_hosts: list[str]):
         self.name = name
+        self.slot = slot
         self.zones = zones
         self.home_host = home_host
         self.zone_hosts = zone_hosts
@@ -263,8 +287,7 @@ class ScenarioSim:
         self.blocked: set[tuple[str, str]] = set()
         self._reach = _OPEN_ROUTES
         self._reach_dirty = False
-        self.red_agents: list[RedAgent | None] = [None] * config.red_slots
-        self._red_slots = {f"red_{slot}": slot for slot in range(config.red_slots)}
+        self.red_agents: list[RedAgent | None] = [None] * RED_SLOTS
         self.blue_agents: dict[str, BlueAgent] = {}
         self._detections: list[tuple[str, str]] = []
         # Every host Analyse ever found evidence on: only they can hold any.
@@ -290,10 +313,10 @@ class ScenarioSim:
         entry = contractor_hosts[self.rng.integers(len(contractor_hosts))]
         self.red_agents[0] = RedAgent("red_0", 0, "contractor_uav", entry, anchor=True)
         self.hosts[entry].red_level = USER_LEVEL
-        for name, zones in BLUE_AGENT_ZONES:
+        for slot, (name, zones) in enumerate(BLUE_AGENT_ZONES):
             home = self.topology.servers_in(zones[0])[0]
             zone_hosts = [h for z in zones for h in self.topology.hosts_by_zone[z]]
-            self.blue_agents[name] = BlueAgent(name, zones, home, zone_hosts)
+            self.blue_agents[name] = BlueAgent(name, slot, zones, home, zone_hosts)
 
     # ------------------------------------------------------------------
     # queries used by the episode runner
@@ -317,7 +340,7 @@ class ScenarioSim:
     def _agent(self, name: str):
         agent = self.blue_agents.get(name)
         if agent is None:
-            slot = self._red_slots.get(name)
+            slot = _RED_SLOT_OF.get(name)
             agent = None if slot is None else self.red_agents[slot]
         if agent is None:
             raise SimulationFault(f"unknown agent {name!r}")
@@ -384,7 +407,7 @@ class ScenarioSim:
         self._run_greens(events)
 
         phase = phase_of(self.step_index, self.config.phase_boundaries, self.config.steps)
-        blue_reward, red_reward = reward_for(events, phase, self.config.reward_table)
+        blue_reward, red_reward = reward_for(events, phase, _reward_table())
         self.cumulative_blue += blue_reward
         self.cumulative_red += red_reward
 
@@ -416,7 +439,7 @@ class ScenarioSim:
             # An unresolvable target degrades the action to a one-step no-op.
             agent.pending = (action, None, 1)
         else:
-            agent.pending = (action, target, self.config.duration_of(action))
+            agent.pending = (action, target, act.DEFAULT_DURATIONS[action])
             if action == "Restore":
                 # The machine is offline for the whole reimaging window.
                 self.hosts[target].restoring = True
@@ -587,17 +610,7 @@ class ScenarioSim:
             agent.sessions[target] = max(agent.sessions.get(target, 0), USER_LEVEL)
             self._recompute_level(target)
             return True
-        other = self._red_in_zone(target_zone)
-        if other is not None:
-            other.sessions[target] = max(other.sessions.get(target, 0), USER_LEVEL)
-            other.learn(target)
-            self._recompute_level(target)
-            return True
-        slot = self._free_slot()
-        if slot is None:
-            return False
-        self._spawn_red(slot, target_zone, target)
-        return True
+        return self._hand_red_session(target_zone, target)
 
     def _red_privilegeescalate(self, agent: RedAgent, target, events) -> bool:
         if agent.sessions.get(target) != USER_LEVEL:
@@ -677,19 +690,27 @@ class ScenarioSim:
                 # Failed service access is charged to the zone offering the service.
                 self._green_failure(target_zone, ACCESS_SERVICE_FAILS, events)
             elif target_state.red_level >= USER_LEVEL and random() < spawn_p:
-                self._green_spawn(host_id, zone)
+                # A green host that used a compromised service hands red a session.
+                self._hand_red_session(zone, host_id)
 
-    def _green_spawn(self, green_host: str, zone: str):
-        """A green host that used a compromised service hands red a session."""
+    def _hand_red_session(self, zone: str, host_id: str) -> bool:
+        """Give red a user session on ``host_id`` in ``zone``.
+
+        The zone's resident red agent takes it and learns the host;
+        failing that, a new agent spawns into a free slot.  False when
+        every slot is taken.
+        """
         resident = self._red_in_zone(zone)
         if resident is not None:
-            resident.sessions[green_host] = max(resident.sessions.get(green_host, 0), USER_LEVEL)
-            resident.learn(green_host)
-            self._recompute_level(green_host)
-        else:
-            slot = self._free_slot()
-            if slot is not None:
-                self._spawn_red(slot, zone, green_host)
+            resident.sessions[host_id] = max(resident.sessions.get(host_id, 0), USER_LEVEL)
+            resident.learn(host_id)
+            self._recompute_level(host_id)
+            return True
+        slot = self._free_slot()
+        if slot is None:
+            return False
+        self._spawn_red(slot, zone, host_id)
+        return True
 
     def _green_failure(self, zone: str, kind: str, events: list[StepEvent]):
         events.append(_GREEN_FAILURES[zone, kind])

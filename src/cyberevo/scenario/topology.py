@@ -8,7 +8,7 @@ contractor network hosting UAV control services.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -76,15 +76,12 @@ class Host(NamedTuple):
 
 @dataclass
 class Topology:
+    """Hosts by id, and each zone's host ids: keys in `ZONES` order,
+    servers before user hosts."""
+
     seed: int
     hosts: dict[str, Host]
-    hosts_by_zone: dict[str, list[str]] = field(init=False)
-
-    def __post_init__(self):
-        by_zone: dict[str, list[str]] = {zone: [] for zone in ZONES}
-        for host in self.hosts.values():
-            by_zone[host.zone].append(host.id)
-        self.hosts_by_zone = by_zone
+    hosts_by_zone: dict[str, list[str]]
 
     def user_hosts(self) -> list[str]:
         return [h.id for h in self.hosts.values() if not h.server]
@@ -127,14 +124,17 @@ def generate_topology(seed: int, bounds: TopologyBounds = TopologyBounds()) -> T
     users_draw = rng.below(users_high - users_low + 1)
     services_draw = rng.below(services_high - services_low + 1)
     hosts: dict[str, Host] = {}
+    hosts_by_zone: dict[str, list[str]] = {}
     for zone in HOST_ZONES:
-        n_servers = servers_low + servers_draw()
-        n_users = users_low + users_draw()
-        for hid in _host_ids(zone, "srv", n_servers):
+        servers = _host_ids(zone, "srv", servers_low + servers_draw())
+        users = _host_ids(zone, "usr", users_low + users_draw())
+        for hid in servers:
             hosts[hid] = Host(hid, zone, True, services_low + services_draw())
-        for hid in _host_ids(zone, "usr", n_users):
+        for hid in users:
             hosts[hid] = Host(hid, zone, False, services_low + services_draw())
-    return Topology(seed=seed, hosts=hosts)
+        hosts_by_zone[zone] = [*servers, *users]
+    hosts_by_zone[INTERNET] = []
+    return Topology(seed, hosts, hosts_by_zone)
 
 
 def zone_reachable(blocked: set[tuple[str, str]]) -> dict[str, frozenset[str]]:

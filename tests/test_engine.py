@@ -16,6 +16,7 @@ from cyberevo.scenario.engine import (
     ROOT_LEVEL,
     USER_LEVEL,
     BLUE_AGENT_ZONES,
+    RED_SLOTS,
     RedAgent,
     ScenarioSim,
 )
@@ -157,7 +158,7 @@ def test_agent_context_finds_live_agents_and_rejects_other_names():
     for name in ("blue_hq", "red_0", "red_2"):
         assert sim.agent_context(name).agent.name == name
     assert sim.agent_context("red_2").agent is sim.red_agents[2]
-    for name in ("red_1", "red_02", f"red_{sim.config.red_slots}", "red_-1", "ghost", "red"):
+    for name in ("red_1", "red_02", f"red_{RED_SLOTS}", "red_-1", "ghost", "red"):
         with pytest.raises(SimulationFault, match="unknown agent"):
             sim.agent_context(name)
     step_with(sim, {"red_2": ("Withdraw", host)})
@@ -520,7 +521,7 @@ def test_phishing_spawns_non_anchor_agents_on_user_hosts():
     sim = ScenarioSim(quiet_config(phishing_p=1.0), seed=25)
     sleep_step(sim)
     spawned = [a for a in sim.red_agents if a is not None and not a.anchor]
-    assert len(spawned) == sim.config.red_slots - 1  # every free slot fills
+    assert len(spawned) == RED_SLOTS - 1  # every free slot fills
     zones_hit = [a.zone for a in spawned]
     assert len(set(zones_hit)) == len(zones_hit)  # one agent per zone
     for agent in spawned:

@@ -54,7 +54,7 @@ def play(sim: ScenarioSim, blue_team, red_team, seed: int, check) -> None:
             team = blue_team if sim.side_of(name) == "blue" else red_team
             context = sim.agent_context(name)
             check_targets(sim, name, context)
-            action, heuristic = controller_for(team, name).decide(
+            action, heuristic = controller_for(team, context.agent).decide(
                 observations[name], context, rng
             )
             submissions[name] = (

@@ -12,17 +12,18 @@ from cyberevo.controllers.base import (
     SleepController,
 )
 from cyberevo.controllers.fsm import load_fsm_adversary
-from cyberevo.episodes import (
-    BLUE_AGENT_ORDER,
-    agent_slot,
-    controller_for,
-    resolve_heuristic_target,
-    run_episode,
-)
+from cyberevo.episodes import controller_for, resolve_heuristic_target, run_episode
 from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.controllers.rules import RuleController
 from cyberevo.grammar.ast import ActionAssign, Condition, IfStatement, ObsTest, RuleAst
-from cyberevo.scenario.engine import ROOT_LEVEL, AgentContext, ScenarioSim
+from cyberevo.scenario.engine import (
+    BLUE_AGENT_ZONES,
+    RED_SLOTS,
+    ROOT_LEVEL,
+    AgentContext,
+    ScenarioSim,
+    team_size,
+)
 from cyberevo.scenario.topology import ZONES, TopologyBounds
 from helpers import FixedActionController
 
@@ -42,27 +43,60 @@ def sleep_teams():
 
 
 def test_agent_slots_follow_side_order():
-    assert BLUE_AGENT_ORDER == (
+    blue_order = (
         "blue_restricted_a",
         "blue_operational_a",
         "blue_restricted_b",
         "blue_operational_b",
         "blue_hq",
     )
-    for i, name in enumerate(BLUE_AGENT_ORDER):
-        assert agent_slot(name) == i
-    assert agent_slot("red_0") == 0
-    assert agent_slot("red_4") == 4
+    assert tuple(name for name, _ in BLUE_AGENT_ZONES) == blue_order
+    sim = ScenarioSim(CONFIG, seed=1)
+    assert tuple(sim.blue_agents) == blue_order
+    for i, agent in enumerate(sim.blue_agents.values()):
+        assert agent.slot == i
+    assert sim.red_agents[0].name == "red_0" and sim.red_agents[0].slot == 0
+    host = sim.topology.user_hosts()[-1]
+    sim._spawn_red(4, sim.topology.hosts[host].zone, host)
+    assert sim.red_agents[4].name == "red_4" and sim.red_agents[4].slot == 4
+    assert (RED_SLOTS, team_size("red", "many"), team_size("blue", "many")) == (6, 6, 5)
+    assert team_size("red", "one") == team_size("blue", "one") == 1
 
 
 def test_singleton_team_is_broadcast():
+    sim = ScenarioSim(CONFIG, seed=1)
     shared = SleepController("blue")
     team = [shared]
-    assert controller_for(team, "blue_hq") is shared
-    assert controller_for(team, "blue_operational_b") is shared
+    assert controller_for(team, sim.blue_agents["blue_hq"]) is shared
+    assert controller_for(team, sim.blue_agents["blue_operational_b"]) is shared
     many = [FixedActionController("blue", "Monitor") for _ in range(5)]
-    assert controller_for(many, "blue_restricted_a") is many[0]
-    assert controller_for(many, "blue_hq") is many[4]
+    assert controller_for(many, sim.blue_agents["blue_restricted_a"]) is many[0]
+    assert controller_for(many, sim.blue_agents["blue_hq"]) is many[4]
+
+
+class RecordingController:
+    """Sleeps, and records every agent it decided for."""
+
+    def __init__(self):
+        self.agents = set()
+
+    def decide(self, observation, context, rng):
+        self.agents.add((context.agent.name, context.agent.slot))
+        return "Sleep", RANDOM_TARGET
+
+
+def test_each_agent_is_decided_by_its_slots_controller():
+    # Every step fills each free red slot, so all six red agents decide.
+    config = ScenarioConfig(
+        steps=6, phase_boundaries=(2, 4), bounds=CONFIG.bounds, phishing_p=1.0,
+    )
+    blue = [RecordingController() for _ in range(team_size("blue", "many"))]
+    red = [RecordingController() for _ in range(team_size("red", "many"))]
+    run_episode(config, seed=21, blue_team=blue, red_team=red)
+    for slot, (name, _) in enumerate(BLUE_AGENT_ZONES):
+        assert blue[slot].agents == {(name, slot)}
+    for slot in range(RED_SLOTS):
+        assert red[slot].agents == {(f"red_{slot}", slot)}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from cyberevo.controllers.fsm import load_fsm_adversary
 from cyberevo.controllers.matrix import MatrixController
 from cyberevo.controllers.rules import RuleController
 from cyberevo.episodes import run_episode
+from cyberevo.errors import ControllerError
 from cyberevo.evolution import (
     CODON_MAX,
     GE_GENOME_LENGTH,
@@ -58,6 +59,21 @@ def individual(fitness: float) -> Individual:
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+@pytest.mark.parametrize("overrides", [
+    {"crossover_p": -0.1},
+    {"crossover_p": 1.5},
+    {"mutation_p": -0.01},
+    {"mutation_p": 2.0},
+    {"es_sigma": -0.1},
+    {"invalid_retry_cap": -1},
+])
+def test_evo_config_rejects_out_of_range_variation_settings(overrides):
+    (name,) = overrides
+    with pytest.raises(ValueError, match=name):
+        EvoConfig(**overrides)
+    EvoConfig(crossover_p=0.0, mutation_p=1.0, es_sigma=0.0, invalid_retry_cap=0)  # the edges
 
 
 def test_evo_config_validation():
@@ -179,6 +195,12 @@ def test_rule_decoder_many_mode_splits_chunks():
     assert individual.valid
     assert len(individual.team) == 5
     assert individual.program.count("action = Monitor") == 5
+
+
+def test_decoders_reject_unknown_controller_modes():
+    for decoder_cls in (MatrixTeamDecoder, RuleTeamDecoder):
+        with pytest.raises(ControllerError, match="'one' or 'many'"):
+            decoder_cls("red", mode="several")
 
 
 def test_make_decoder_maps_algorithms_to_representations():

@@ -118,6 +118,24 @@ def test_llm_client_factory():
         _make_llm_client({"kind": "telepathy"}, 1)
 
 
+def test_an_unset_api_key_variable_is_rejected_before_the_run(tmp_path, monkeypatch, capsys):
+    # Without the key every call would fail as transport and GE-LLM
+    # would quietly turn into random restarts.
+    monkeypatch.delenv("CYBEREVO_TEST_API_KEY", raising=False)
+    llm = {"kind": "http", "url": "http://localhost:1/v1", "model": "m",
+           "api_key_env": "CYBEREVO_TEST_API_KEY"}
+    with pytest.raises(ExperimentSpecError, match="CYBEREVO_TEST_API_KEY"):
+        _make_llm_client(llm, 1)
+    out = tmp_path / "out"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"experiment": "GE-LLM-B", "steps": 6, "llm": llm}))
+    assert main(["run", str(spec), "--output-dir", str(out)]) == 2
+    assert "CYBEREVO_TEST_API_KEY" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setenv("CYBEREVO_TEST_API_KEY", "secret")
+    assert _make_llm_client(llm, 1).api_key == "secret"
+
+
 # ---------------------------------------------------------------------------
 # run_experiment artifacts
 
@@ -145,6 +163,21 @@ def test_run_experiment_writes_csv_and_metadata(tmp_path):
     # wall time lives in the sidecar only, never in the deterministic CSV
     with open(outcome.csv_path) as handle:
         assert handle.readline().strip() == ",".join(CSV_COLUMNS)
+
+
+def test_metadata_echoes_the_whole_scenario_config(tmp_path):
+    outcome = run_experiment("GA-B", str(tmp_path), evo=SMALL_EVO, scenario=TINY)
+    with open(outcome.meta_path) as handle:
+        echoed = json.load(handle)["scenario_config"]
+    assert echoed["bounds"] == {"servers": [1, 1], "user_hosts": [3, 3], "services": [1, 1]}
+    bounds = TopologyBounds(**{name: tuple(r) for name, r in echoed["bounds"].items()})
+    rebuilt = ScenarioConfig(**{
+        **echoed, "bounds": bounds, "phase_boundaries": tuple(echoed["phase_boundaries"]),
+    })
+    assert rebuilt == TINY
+    # The fixed structure is package constants, not configuration.
+    with pytest.raises(TypeError):
+        ScenarioConfig(red_slots=7)
 
 
 def test_run_experiment_csvs_are_byte_identical_across_runs(tmp_path):

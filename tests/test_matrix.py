@@ -15,10 +15,10 @@ from cyberevo.controllers.matrix import (
     matrix_actions,
     normalize_row,
     team_genome_length,
-    team_size,
 )
 from cyberevo.errors import ControllerError
 from cyberevo.scenario.actions import BLUE_ACTIONS, RED_ACTIONS
+from cyberevo.scenario.engine import team_size
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +42,8 @@ def test_cell_counts_and_genome_lengths():
     # One controller per member needs the full product.
     assert team_genome_length("red", "many") == 72 * 6 == 432
     assert team_genome_length("blue", "many") == 42 * 5 == 210
-    assert team_size("red") == 6
-    assert team_size("blue") == 5
+    assert team_size("red", "many") == 6
+    assert team_size("blue", "many") == 5
     with pytest.raises(ControllerError):
         team_genome_length("red", "several")
     with pytest.raises(ControllerError):
@@ -199,7 +199,7 @@ def test_many_mode_gives_each_member_its_own_controller():
     genome[0] = 1.0  # member 0: K row favours the first action
     genome[cells + 1] = 1.0  # member 1: K row favours the second action
     team = decode_matrix_team(genome, "red", "many")
-    assert len(team) == team_size("red")
+    assert len(team) == team_size("red", "many")
     assert np.argmax(team[0].rows["K"]) == 0
     assert np.argmax(team[1].rows["K"]) == 1
 

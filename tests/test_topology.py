@@ -111,10 +111,24 @@ def test_user_hosts_and_servers_partition_each_zone():
         assert (zone_hosts - servers) <= users
 
 
+def test_hosts_by_zone_follows_zone_order_servers_first():
+    for seed in range(20):
+        topology = generate_topology(seed)
+        by_zone = {zone: [] for zone in ZONES}
+        for host in topology.hosts.values():
+            by_zone[host.zone].append(host.id)
+        assert topology.hosts_by_zone == by_zone
+        assert list(topology.hosts_by_zone) == list(ZONES)
+        for zone in HOST_ZONES:
+            flags = [topology.hosts[h].server for h in topology.hosts_by_zone[zone]]
+            assert flags == sorted(flags, reverse=True)
+
+
 def test_validate_rejects_out_of_bounds_shapes():
     hosts = {"contractor_uav_srv0": Host("contractor_uav_srv0", "contractor_uav", True, 1)}
+    by_zone = {zone: [] for zone in ZONES} | {"contractor_uav": ["contractor_uav_srv0"]}
     with pytest.raises(ScenarioConfigError):
-        Topology(seed=0, hosts=hosts).validate(TopologyBounds())
+        Topology(0, hosts, by_zone).validate(TopologyBounds())
 
 
 def test_zone_reachable_unblocked_graph_is_connected():
