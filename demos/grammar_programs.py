@@ -21,7 +21,7 @@ from cyberevo.scenario.config import ScenarioConfig
 
 def show_grammar() -> None:
     grammar = load_grammar("blue")
-    text = grammar.to_text()
+    text = grammar.source
     print("Blue controller grammar (every program is derived from these rules):\n")
     for line in text.splitlines():
         print(f"    {line}")

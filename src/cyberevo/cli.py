@@ -110,11 +110,8 @@ def _run(args) -> int:
         scenario=scenario,
         llm_settings=settings.llm or None,
     )
-    best = (
-        max(r.best for r in outcome.trace.records)
-        if outcome.trace.records
-        else float("nan")
-    )
+    records = outcome.result.trace.records
+    best = max(r.best for r in records) if records else float("nan")
     print(f"experiment: {outcome.spec.name}")
     print(f"trace: {outcome.csv_path}")
     print(f"meta: {outcome.meta_path}")

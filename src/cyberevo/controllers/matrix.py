@@ -78,16 +78,10 @@ def normalize_row(values: Sequence[float | None]) -> np.ndarray:
 class MatrixController:
     """Per-state categorical action sampler."""
 
-    def __init__(
-        self,
-        side: str,
-        rows: dict[str, Sequence[float | None]],
-        default_heuristic: str = RANDOM_TARGET,
-    ):
+    def __init__(self, side: str, rows: dict[str, Sequence[float | None]]):
         self.side = side
         self.states = state_priority(side)
         self.actions = matrix_actions(side)
-        self.default_heuristic = default_heuristic
         missing = set(self.states) - set(rows)
         if missing:
             raise ControllerError(f"rows missing for states {sorted(missing)}")
@@ -114,7 +108,7 @@ class MatrixController:
 
     def decide(self, observation, context, rng) -> tuple[str, str]:
         state = classify_state(self.side, context)
-        return self.sample(state, rng), self.default_heuristic
+        return self.sample(state, rng), RANDOM_TARGET
 
 
 def decode_matrix_team(

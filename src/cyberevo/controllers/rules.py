@@ -4,7 +4,7 @@ A rule controller owns an abstract syntax tree of ``if``/assignment
 statements.  Each decision evaluates every statement top to bottom; the
 last executed assignment to the action (and, when present, to the
 target heuristic) wins.  Unassigned slots fall back to Sleep and the
-controller's default heuristic.
+random target heuristic.
 
 A decision reads only the observation, never the decision context or
 the stream, so each controller memoizes its decisions by observation.
@@ -115,7 +115,6 @@ class RuleController:
 
     ast: RuleAst
     side: str
-    default_heuristic: str = RANDOM_TARGET
     _decisions: dict[Observation, tuple[str, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -123,10 +122,6 @@ class RuleController:
     def __post_init__(self) -> None:
         if self.side not in ("red", "blue"):
             raise ControllerError(f"side must be 'red' or 'blue', got {self.side!r}")
-        if self.default_heuristic not in TARGET_HEURISTICS:
-            raise ControllerError(
-                f"unknown default heuristic {self.default_heuristic!r}"
-            )
         _validate_statements(self.ast.action_statements, self.side, "action section")
         _validate_statements(self.ast.target_statements, self.side, "target section")
 
@@ -141,17 +136,13 @@ class RuleController:
     def _walk(self, observation: Observation) -> tuple[str, str]:
         """Run the program on one observation: the decision `decide` memoizes."""
         action = DEFAULT_ACTION
-        heuristic = self.default_heuristic
-        for statement in _walk_fired(self.ast.action_statements, observation):
+        heuristic = RANDOM_TARGET
+        program = self.ast.action_statements + self.ast.target_statements
+        for statement in _walk_fired(program, observation):
             if isinstance(statement, ActionAssign):
                 action = statement.action
-            elif isinstance(statement, TargetAssign):
+            else:
                 heuristic = statement.heuristic
-        for statement in _walk_fired(self.ast.target_statements, observation):
-            if isinstance(statement, TargetAssign):
-                heuristic = statement.heuristic
-            elif isinstance(statement, ActionAssign):
-                action = statement.action
         return action, heuristic
 
 

@@ -58,17 +58,15 @@ def run_episode(
     seed: int,
     blue_team: Team,
     red_team: Team,
-    steps: Optional[int] = None,
 ) -> EpisodeResult:
     """Simulate one episode and return the summed zero-sum rewards."""
     sim = ScenarioSim(config, seed)
     rng = spawn_stream(seed, STREAM_CONTROLLER)
     observations = sim.initial_observations()
-    horizon = config.steps if steps is None else min(steps, config.steps)
     blue_rewards: list[float] = []
     teams = {"blue": blue_team, "red": red_team}
     controllers: dict[str, Controller] = {}  # by agent name, looked up once
-    for _ in range(horizon):
+    for _ in range(config.steps):
         submissions: dict[str, tuple[str, Optional[str]]] = {}
         for agent in sim.idle_agents():
             name = agent.name
@@ -86,6 +84,6 @@ def run_episode(
     return EpisodeResult(
         blue_total=total,
         red_total=-total,
-        steps=horizon,
+        steps=config.steps,
         blue_rewards=tuple(blue_rewards),
     )

@@ -132,20 +132,13 @@ class MatrixTeamDecoder:
 class RuleTeamDecoder:
     """Codon genomes decoded through a controller grammar."""
 
-    def __init__(
-        self,
-        side: str,
-        variant: Variant = Variant.BASELINE,
-        mode: str = "one",
-        genome_length: int = GE_GENOME_LENGTH,
-    ):
+    def __init__(self, side: str, variant: Variant = Variant.BASELINE, mode: str = "one"):
         self.side = side
         self.variant = Variant(variant)
         self.mode = mode
         self.grammar = load_grammar(side, self.variant)
         self.controllers = team_size(side, mode)
-        self.genome_length = genome_length * self.controllers
-        self._chunk = genome_length
+        self.genome_length = GE_GENOME_LENGTH * self.controllers
 
     def random_genome(self, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, CODON_MAX + 1, size=self.genome_length)
@@ -154,7 +147,7 @@ class RuleTeamDecoder:
         controllers = []
         programs = []
         for c in range(self.controllers):
-            chunk = genome[c * self._chunk:(c + 1) * self._chunk]
+            chunk = genome[c * GE_GENOME_LENGTH:(c + 1) * GE_GENOME_LENGTH]
             result = map_genome(chunk, self.grammar)
             if result.invalid:
                 return Individual(genome, None, False)

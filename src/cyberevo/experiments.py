@@ -15,6 +15,7 @@ time, configuration echo, seed scheme, and any LLM call statistics.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -151,26 +152,45 @@ class RunSettings:
         return cls(**raw)
 
 
+# The settings each llm client kind takes.
+_LLM_KEYS = {
+    "mock": {"kind"},
+    "echo": {"kind"},
+    "http": {"kind", "url", "model", "api_key", "api_key_env", "timeout"},
+}
+
+
 def _make_llm_client(settings: dict, master_seed: int):
+    """The client an ``llm`` settings block selects; malformed settings
+    are refused here, before anything runs."""
     kind = settings.get("kind", "mock")
+    if not isinstance(kind, str) or kind not in _LLM_KEYS:
+        raise ExperimentSpecError(f"unknown llm client kind {kind!r}")
+    unknown = set(settings) - _LLM_KEYS[kind]
+    if unknown:
+        raise ExperimentSpecError(f"unknown settings {sorted(unknown)} for the {kind} llm client")
     if kind == "mock":
         return ExpandingMockClient(seed=master_seed)
     if kind == "echo":
         return EchoClient()
-    if kind == "http":
-        try:
-            url = settings["url"]
-            model = settings["model"]
-        except KeyError as exc:
-            raise ExperimentSpecError("http llm settings need 'url' and 'model'") from exc
-        api_key = settings.get("api_key")
-        env = settings.get("api_key_env")
-        if api_key is None and env:
-            api_key = os.environ.get(env)
-            if not api_key:
-                raise ExperimentSpecError(f"http llm settings name api_key_env {env!r}, which is unset or empty")
-        return HttpClient(url, model, api_key=api_key, timeout=settings.get("timeout", 30.0))
-    raise ExperimentSpecError(f"unknown llm client kind {kind!r}")
+    for key in ("url", "model"):
+        if not isinstance(settings.get(key), str) or not settings[key]:
+            raise ExperimentSpecError(f"http llm settings need {key!r} as a non-empty string")
+    for key in ("api_key", "api_key_env"):
+        if not isinstance(settings.get(key, ""), str):
+            raise ExperimentSpecError(f"http llm setting {key!r} must be a string")
+    timeout = settings.get("timeout", 30.0)
+    # A bool is not a duration; a timeout that can never pass would turn
+    # every call into a transport failure.
+    if type(timeout) not in (int, float) or not 0 < timeout < math.inf:
+        raise ExperimentSpecError(f"http llm 'timeout' must be a positive number of seconds, got {timeout!r}")
+    api_key = settings.get("api_key")
+    env = settings.get("api_key_env")
+    if api_key is None and env:
+        api_key = os.environ.get(env)
+        if not api_key:
+            raise ExperimentSpecError(f"http llm settings name api_key_env {env!r}, which is unset or empty")
+    return HttpClient(settings["url"], settings["model"], api_key=api_key, timeout=timeout)
 
 
 @dataclass
@@ -180,7 +200,6 @@ class ExperimentOutcome:
     spec: ExperimentSpec
     csv_path: str
     meta_path: str
-    trace: FitnessTrace
     result: EvolutionResult
     wall_time_s: float
 
@@ -260,7 +279,6 @@ def run_experiment(
         spec=spec,
         csv_path=csv_path,
         meta_path=meta_path,
-        trace=result.trace,
         result=result,
         wall_time_s=wall,
     )

@@ -11,8 +11,11 @@ Invalidity is an ordinary result value, not an error.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .ast import (
     ActionAssign,
@@ -24,9 +27,13 @@ from .ast import (
     SuccessTest,
     TargetAssign,
 )
-from .model import _FIXED_TARGET, DerivNode, Grammar, NonTerminal, Terminal
+from .model import DerivNode, Grammar, NonTerminal, Terminal
 
 MAX_WRAPS = 2
+
+# The sections scaffold's hardcoded target line, in grammars without an
+# evolvable target section.
+_FIXED_TARGET = re.compile(r"^target_heuristic\s*=\s*(\w+)$")
 
 
 @dataclass(frozen=True)
@@ -54,15 +61,26 @@ def tree_terminals(root: DerivNode) -> list[str]:
     return values
 
 
-def map_genome(
-    genome: Sequence[int],
-    grammar: Grammar,
-    max_wraps: int = MAX_WRAPS,
-) -> MappingResult:
-    """Decode `genome` into a phenotype string (and AST when applicable)."""
+def _first_bad_codon(genome: Sequence[int]):
+    """The first codon that is not a nonnegative integer, or None.
+
+    An integer array is checked in one numpy pass, anything else codon
+    by codon.
+    """
+    if isinstance(genome, np.ndarray) and genome.dtype.kind in "iu":
+        negative = genome[genome < 0]
+        return negative[0] if negative.size else None
     for codon in genome:
         if int(codon) != codon or codon < 0:
-            raise ValueError(f"codons must be nonnegative integers, got {codon!r}")
+            return codon
+    return None
+
+
+def map_genome(genome: Sequence[int], grammar: Grammar) -> MappingResult:
+    """Decode `genome` into a phenotype string (and AST when applicable)."""
+    bad = _first_bad_codon(genome)
+    if bad is not None:
+        raise ValueError(f"codons must be nonnegative integers, got {bad!r}")
     root = DerivNode(NonTerminal(grammar.start))
     stack = [root]
     index = 0
@@ -72,7 +90,7 @@ def map_genome(
         node = stack.pop()
         name = node.symbol.name  # type: ignore[union-attr]
         if index >= len(genome):
-            if wraps >= max_wraps or len(genome) == 0:
+            if wraps >= MAX_WRAPS or len(genome) == 0:
                 return MappingResult(None, None, None, True, used, wraps)
             wraps += 1
             index = 0

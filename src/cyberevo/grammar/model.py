@@ -1,8 +1,7 @@
-"""Grammar data model and serialization back to definition text."""
+"""Grammar data model."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from ..errors import GrammarParseError
@@ -32,8 +31,6 @@ class DerivNode:
         self.children = children if children is not None else []
 
 
-_FIXED_TARGET = re.compile(r"^target_heuristic\s*=\s*(\w+)$")
-
 # Rule names a grammar must define to decode into controller trees.
 CONTROLLER_RULES = ("sections", "statements", "statement", "conditions",
                     "operator", "operand", "success", "observations",
@@ -42,7 +39,11 @@ CONTROLLER_RULES = ("sections", "statements", "statement", "conditions",
 
 @dataclass
 class Grammar:
-    """An ordered set of production rules with a start symbol."""
+    """An ordered set of production rules with a start symbol.
+
+    ``source`` is the definition text the grammar was parsed from; the
+    LLM mutation prompt embeds it as written.
+    """
 
     rules: dict[str, tuple[Production, ...]]
     start: str
@@ -67,39 +68,3 @@ class Grammar:
                 raise GrammarParseError("actions rule must list single-terminal alternatives")
             out.append(production[0].value)
         return tuple(out)
-
-    def observation_terminals(self) -> tuple[str, ...]:
-        out = []
-        for production in self.productions("observations"):
-            if len(production) != 1 or not isinstance(production[0], Terminal):
-                raise GrammarParseError("observations rule must list single-terminal alternatives")
-            out.append(production[0].value)
-        return tuple(out)
-
-    def fixed_target(self) -> str | None:
-        """The hardcoded target heuristic in the sections scaffold, if any."""
-        for production in self.productions(self.start):
-            for symbol in production:
-                if isinstance(symbol, Terminal):
-                    match = _FIXED_TARGET.match(symbol.value.strip())
-                    if match:
-                        return match.group(1)
-        return None
-
-    def has_target_section(self) -> bool:
-        return "th_statements" in self.rules
-
-    def to_text(self) -> str:
-        """Render back to the definition format parse_grammar accepts."""
-        lines = []
-        for name, productions in self.rules.items():
-            indent = " " * len(name)
-            for i, production in enumerate(productions):
-                body = " ".join(
-                    f'"{s.value}"' if isinstance(s, Terminal) else s.name for s in production
-                )
-                if i == 0:
-                    lines.append(f"{name}: {body}")
-                else:
-                    lines.append(f"{indent}| {body}")
-        return "\n".join(lines) + "\n"

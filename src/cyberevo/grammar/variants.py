@@ -11,8 +11,8 @@ the random heuristic:
 - ``TO``: the target line fixes the oldest target, the list's first entry.
 - ``TC``: the target line becomes ``#Select target`` and an evolvable
   block of conditional target assignments (``th_statements``).
-- ``OE``: ``EXTRA_OBSERVATIONS`` (connection, user-file and root-file
-  counts) come before the baseline's two observations.
+- ``OE``: three more observations, the connection, user-file and
+  root-file counts, come before the baseline's two.
 """
 
 from __future__ import annotations
@@ -35,13 +35,6 @@ class Variant(str, Enum):
     TO = "to"
     TC = "tc"
     OE = "oe"
-
-
-EXTRA_OBSERVATIONS = (
-    "connections(observation)",
-    "files_user(observation)",
-    "files_root(observation)",
-)
 
 
 def grammar_asset_name(side: str, variant: Variant | str = Variant.BASELINE) -> str:

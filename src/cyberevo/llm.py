@@ -48,7 +48,7 @@ INSTRUCTIONS = (
 
 def build_prompt(grammar: Grammar, program: str) -> str:
     """Assemble the mutation prompt: persona, grammar, code, instructions."""
-    grammar_text = grammar.to_text().strip()
+    grammar_text = grammar.source.strip()
     program = program.strip()
     for name, text in (("grammar", grammar_text), ("program", program)):
         if not text:

@@ -49,7 +49,6 @@ from .topology import (
     HOST_ZONES,
     REWARD_ZONE_OF,
     ZONES,
-    Topology,
     generate_topology,
     zone_reachable,
 )
@@ -277,10 +276,9 @@ class StepResult:
 class ScenarioSim:
     """A single episode's network state and step function."""
 
-    def __init__(self, config: ScenarioConfig, seed: int, topology: Topology | None = None):
+    def __init__(self, config: ScenarioConfig, seed: int):
         self.config = config
-        self.seed = seed
-        self.topology = topology or generate_topology(derive_seed(seed, STREAM_TOPOLOGY), config.bounds)
+        self.topology = generate_topology(derive_seed(seed, STREAM_TOPOLOGY), config.bounds)
         self.rng: ScalarStream = spawn_stream(seed)
         self.step_index = 0
         self.hosts: dict[str, HostRuntime] = {h: HostRuntime() for h in self.topology.hosts}
@@ -324,9 +322,6 @@ class ScenarioSim:
     def _active_agents(self) -> list[RedAgent | BlueAgent]:
         """Blue agents, then active red agents in slot order: the step order."""
         return [*self.blue_agents.values(), *(a for a in self.red_agents if a is not None)]
-
-    def agent_names(self) -> list[str]:
-        return [agent.name for agent in self._active_agents()]
 
     def idle_agents(self) -> list[RedAgent | BlueAgent]:
         return [agent for agent in self._active_agents() if agent.pending is None]

@@ -83,9 +83,6 @@ class RewardTable:
         except KeyError as exc:
             raise ScenarioConfigError(f"unknown reward cell ({phase!r}, {zone!r}, {kind!r})") from exc
 
-    def as_dict(self) -> dict:
-        return {p: {z: dict(k) for z, k in zones.items()} for p, zones in self._cells.items()}
-
     @classmethod
     def default(cls) -> "RewardTable":
         text = resources.files("cyberevo.scenario").joinpath("data/reward_table.json").read_text()

@@ -79,7 +79,6 @@ class Topology:
     """Hosts by id, and each zone's host ids: keys in `ZONES` order,
     servers before user hosts."""
 
-    seed: int
     hosts: dict[str, Host]
     hosts_by_zone: dict[str, list[str]]
 
@@ -88,21 +87,6 @@ class Topology:
 
     def servers_in(self, zone: str) -> list[str]:
         return [h for h in self.hosts_by_zone[zone] if self.hosts[h].server]
-
-    def validate(self, bounds: TopologyBounds) -> None:
-        """Raise if the topology violates the documented shape."""
-        if not self.hosts_by_zone[INTERNET] == []:
-            raise ScenarioConfigError("internet zone must not contain hosts")
-        for zone in HOST_ZONES:
-            servers = len(self.servers_in(zone))
-            users = len(self.hosts_by_zone[zone]) - servers
-            if not bounds.servers[0] <= servers <= bounds.servers[1]:
-                raise ScenarioConfigError(f"zone {zone} has {servers} servers, outside {bounds.servers}")
-            if not bounds.user_hosts[0] <= users <= bounds.user_hosts[1]:
-                raise ScenarioConfigError(f"zone {zone} has {users} user hosts, outside {bounds.user_hosts}")
-        for host in self.hosts.values():
-            if not bounds.services[0] <= host.services <= bounds.services[1]:
-                raise ScenarioConfigError(f"host {host.id} has {host.services} services, outside {bounds.services}")
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +118,7 @@ def generate_topology(seed: int, bounds: TopologyBounds = TopologyBounds()) -> T
             hosts[hid] = Host(hid, zone, False, services_low + services_draw())
         hosts_by_zone[zone] = [*servers, *users]
     hosts_by_zone[INTERNET] = []
-    return Topology(seed, hosts, hosts_by_zone)
+    return Topology(hosts, hosts_by_zone)
 
 
 def zone_reachable(blocked: set[tuple[str, str]]) -> dict[str, frozenset[str]]:

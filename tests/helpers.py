@@ -1,12 +1,26 @@
-"""Test-only controllers, and the environment for child interpreters."""
+"""Test-only controllers, views of grammars, the engine and the reward
+table that only tests read, and the environment for child interpreters."""
 
 from __future__ import annotations
 
+import json
 import os
+from importlib import resources
 from pathlib import Path
 
 import cyberevo
 from cyberevo.controllers.base import RANDOM_TARGET
+from cyberevo.errors import GrammarParseError
+from cyberevo.grammar.mapping import _FIXED_TARGET
+from cyberevo.grammar.model import Grammar, Terminal
+from cyberevo.scenario.engine import ScenarioSim
+
+# The observations the OE grammar variants put before the baseline's two.
+EXTRA_OBSERVATIONS = (
+    "connections(observation)",
+    "files_user(observation)",
+    "files_root(observation)",
+)
 
 
 def package_env() -> dict[str, str]:
@@ -34,3 +48,39 @@ class FixedActionController:
 
     def decide(self, observation, context, rng) -> tuple[str, str]:
         return self.action, self.heuristic
+
+
+def observation_terminals(grammar: Grammar) -> tuple[str, ...]:
+    """The terminals of the ``observations`` rule, in order."""
+    out = []
+    for production in grammar.productions("observations"):
+        if len(production) != 1 or not isinstance(production[0], Terminal):
+            raise GrammarParseError("observations rule must list single-terminal alternatives")
+        out.append(production[0].value)
+    return tuple(out)
+
+
+def fixed_target(grammar: Grammar) -> str | None:
+    """The hardcoded target heuristic in the sections scaffold, if any."""
+    for production in grammar.productions(grammar.start):
+        for symbol in production:
+            if isinstance(symbol, Terminal):
+                match = _FIXED_TARGET.match(symbol.value.strip())
+                if match:
+                    return match.group(1)
+    return None
+
+
+def has_target_section(grammar: Grammar) -> bool:
+    return "th_statements" in grammar.rules
+
+
+def agent_names(sim: ScenarioSim) -> list[str]:
+    """Active agents in step order: blue agents, then red agents by slot."""
+    return [*sim.blue_agents, *(agent.name for agent in sim.red_agents if agent is not None)]
+
+
+def packaged_reward_cells() -> dict:
+    """A fresh copy of the packaged reward table's cells."""
+    text = resources.files("cyberevo.scenario").joinpath("data/reward_table.json").read_text()
+    return json.loads(text)

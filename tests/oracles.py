@@ -5,7 +5,8 @@ description, with different data structures than the library (an
 explicit sentential-form list instead of a work stack), so agreement
 between the two is meaningful.  The program-text oracle enumerates
 every derivation by full backtracking, where the library makes one
-ordered-choice pass.
+ordered-choice pass.  The topology oracle checks a network against the
+documented shape.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 
+from cyberevo.errors import ScenarioConfigError
 from cyberevo.grammar.model import DerivNode, NonTerminal, Terminal
+from cyberevo.scenario.topology import HOST_ZONES, INTERNET
 
 # A grammar spec is {rule: [production, ...]} where each production is a
 # list of ("T", text) terminals and ("N", rule) references.  The first
@@ -128,3 +131,19 @@ def oracle_parse_program(text: str, grammar):
         if end == len(squished):
             return tree
     return None
+
+
+def check_topology(topology, bounds) -> None:
+    """Raise `ScenarioConfigError` if the topology violates the documented shape."""
+    if not topology.hosts_by_zone[INTERNET] == []:
+        raise ScenarioConfigError("internet zone must not contain hosts")
+    for zone in HOST_ZONES:
+        servers = len(topology.servers_in(zone))
+        users = len(topology.hosts_by_zone[zone]) - servers
+        if not bounds.servers[0] <= servers <= bounds.servers[1]:
+            raise ScenarioConfigError(f"zone {zone} has {servers} servers, outside {bounds.servers}")
+        if not bounds.user_hosts[0] <= users <= bounds.user_hosts[1]:
+            raise ScenarioConfigError(f"zone {zone} has {users} user hosts, outside {bounds.user_hosts}")
+    for host in topology.hosts.values():
+        if not bounds.services[0] <= host.services <= bounds.services[1]:
+            raise ScenarioConfigError(f"host {host.id} has {host.services} services, outside {bounds.services}")

@@ -36,13 +36,19 @@ from cyberevo.grammar.ast import ActionAssign, RuleAst
 from cyberevo.grammar.mapping import map_genome
 from cyberevo.grammar.parse import parse_grammar
 from cyberevo.grammar.program import parse_program, render_program
-from cyberevo.grammar.variants import EXTRA_OBSERVATIONS, Variant, load_grammar
+from cyberevo.grammar.variants import Variant, load_grammar
 from cyberevo.llm import ExpandingMockClient, LlmStats, ScriptedClient, llm_mutate
 from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.scenario.rewards import EVENT_KINDS, PHASES, REWARD_ZONES, RewardTable
 from cyberevo.scenario.topology import TopologyBounds
 
-from helpers import package_env
+from helpers import (
+    EXTRA_OBSERVATIONS,
+    fixed_target,
+    has_target_section,
+    observation_terminals,
+    package_env,
+)
 from oracles import TOY_SPEC, all_genomes, oracle_map, spec_to_text
 from test_fsm import BLUE_EXPECTED, RED_EXPECTED
 from test_program import MONITOR_TEXT
@@ -320,11 +326,11 @@ def test_criterion_09_variant_grammars_are_safe_to_fuzz(criterion):
         for side in ("blue", "red"):
             base = load_grammar(side)
             widened = load_grammar(side, Variant.OE)
-            assert set(widened.observation_terminals()) == set(
-                base.observation_terminals()
+            assert set(observation_terminals(widened)) == set(
+                observation_terminals(base)
             ) | set(EXTRA_OBSERVATIONS)
-            assert len(widened.observation_terminals()) == len(
-                base.observation_terminals()
+            assert len(observation_terminals(widened)) == len(
+                observation_terminals(base)
             ) + len(EXTRA_OBSERVATIONS)
             for variant, heuristic in (
                 (Variant.TR, "random_target"),
@@ -332,11 +338,11 @@ def test_criterion_09_variant_grammars_are_safe_to_fuzz(criterion):
                 (Variant.TO, "first_target"),
             ):
                 fixed = load_grammar(side, variant)
-                assert fixed.fixed_target() == heuristic
-                assert not fixed.has_target_section()
+                assert fixed_target(fixed) == heuristic
+                assert not has_target_section(fixed)
                 assert "target_heuristic" not in fixed.rules
             choosing = load_grammar(side, Variant.TC)
-            assert choosing.has_target_section()
+            assert has_target_section(choosing)
             assert len(choosing.rules["target_heuristic"]) == 3
 
         rng = np.random.default_rng(90)

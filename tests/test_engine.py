@@ -29,6 +29,8 @@ from cyberevo.scenario.rewards import (
 )
 from cyberevo.scenario.topology import HOST_ZONES, INTERNET, REWARD_ZONE_OF, ZONES, TopologyBounds
 
+from helpers import agent_names
+
 SMALL_BOUNDS = TopologyBounds(servers=(1, 2), user_hosts=(3, 4), services=(1, 2))
 
 
@@ -87,8 +89,8 @@ def test_initial_state():
     assert red.sessions == {red.entry_host: USER_LEVEL}
     assert sim.hosts[red.entry_host].red_level == USER_LEVEL
     assert set(sim.blue_agents) == {name for name, _ in BLUE_AGENT_ZONES}
-    assert len(sim.agent_names()) == 6
-    assert sim.idle_agent_names() == sim.agent_names()
+    assert len(agent_names(sim)) == 6
+    assert sim.idle_agent_names() == agent_names(sim)
     for name, zones in BLUE_AGENT_ZONES:
         agent = sim.blue_agents[name]
         assert sim.topology.hosts[agent.home_host].zone in zones

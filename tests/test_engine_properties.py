@@ -29,6 +29,8 @@ from cyberevo.scenario.engine import NO_COMPROMISE, ROOT_LEVEL, USER_LEVEL, Scen
 from cyberevo.scenario.topology import ZONES
 from cyberevo.seeds import STREAM_CONTROLLER, spawn_generator
 
+from helpers import agent_names
+
 STEPS = 30
 
 
@@ -126,7 +128,7 @@ def check_invariants(sim: ScenarioSim, result) -> None:
     for name in sim.blue_agents:
         obs = result.observations[name]
         assert (obs.files_user, obs.files_root) == evidence, name
-    assert set(result.observations) == set(sim.agent_names())
+    assert set(result.observations) == set(agent_names(sim))
 
     restoring = {
         agent.pending[1] for agent in sim.blue_agents.values()

@@ -193,15 +193,6 @@ def test_rewards_are_zero_sum_and_red_preys_on_sleep():
     assert result.blue_total < 0.0  # an unopposed attacker does real damage
 
 
-def test_step_cap_truncates_the_episode():
-    blue, red = sleep_teams()
-    result = run_episode(CONFIG, seed=5, blue_team=blue, red_team=red, steps=4)
-    assert result.steps == 4
-    assert len(result.blue_rewards) == 4
-    longer = run_episode(CONFIG, seed=5, blue_team=blue, red_team=red, steps=99)
-    assert longer.steps == CONFIG.steps  # capped at the scenario horizon
-
-
 def test_full_default_scenario_runs_both_fsm_teams():
     config = ScenarioConfig()
     assert config.steps == 75

@@ -188,9 +188,9 @@ def test_rule_decoder_genomes_and_decoding():
 
 
 def test_rule_decoder_many_mode_splits_chunks():
-    decoder = RuleTeamDecoder("blue", mode="many", genome_length=4)
-    assert decoder.genome_length == 20
-    genome = np.array([0, 0, 1, 2] * 5)
+    decoder = RuleTeamDecoder("blue", mode="many")
+    assert decoder.genome_length == GE_GENOME_LENGTH * 5
+    genome = np.tile([0, 0, 1, 2], GE_GENOME_LENGTH // 4 * 5)
     individual = decoder.decode(genome)
     assert individual.valid
     assert len(individual.team) == 5

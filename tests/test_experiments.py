@@ -104,18 +104,51 @@ def test_run_settings_validation(tmp_path):
     assert RunSettings(experiment="GA-B").master_seed == DEFAULT_MASTER_SEED
 
 
+HTTP = {"kind": "http", "url": "http://localhost:1/v1", "model": "m"}
+
+
 def test_llm_client_factory():
     assert isinstance(_make_llm_client({}, 1), ExpandingMockClient)
     assert isinstance(_make_llm_client({"kind": "mock"}, 1), ExpandingMockClient)
     assert isinstance(_make_llm_client({"kind": "echo"}, 1), EchoClient)
-    http = _make_llm_client(
-        {"kind": "http", "url": "http://localhost:1/v1", "model": "m"}, 1
-    )
+    http = _make_llm_client(HTTP, 1)
     assert isinstance(http, HttpClient)
+    assert http.timeout == 30.0
+    http = _make_llm_client(HTTP | {"api_key": "k", "timeout": 2}, 1)
+    assert (http.url, http.model, http.api_key, http.timeout) == (HTTP["url"], "m", "k", 2)
     with pytest.raises(ExperimentSpecError):
         _make_llm_client({"kind": "http", "url": "u"}, 1)  # model missing
     with pytest.raises(ExperimentSpecError):
         _make_llm_client({"kind": "telepathy"}, 1)
+
+
+@pytest.mark.parametrize("llm", [
+    HTTP | {"timeout": "soon"},
+    HTTP | {"timeout": -1},
+    HTTP | {"timeout": 0},
+    HTTP | {"timeout": True},
+    HTTP | {"timeout": float("nan")},
+    {"kind": "mock", "sed": 3},
+    {"kind": "echo", "url": "http://localhost:1/v1"},
+    HTTP | {"retries": 2},
+    HTTP | {"url": 7},
+    HTTP | {"url": ""},
+    HTTP | {"model": ["m"]},
+    HTTP | {"model": ""},
+    HTTP | {"api_key_env": 1},
+    {"kind": ["http"]},
+], ids=str)
+def test_malformed_llm_settings_are_rejected_before_the_run(llm, tmp_path, capsys):
+    # A timeout no call can meet would turn every LLM child into a random
+    # restart, and a misspelt key would be silently ignored.
+    with pytest.raises(ExperimentSpecError):
+        _make_llm_client(llm, 1)
+    out = tmp_path / "out"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"experiment": "GE-LLM-B", "steps": 6, "llm": llm}))
+    assert main(["run", str(spec), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_an_unset_api_key_variable_is_rejected_before_the_run(tmp_path, monkeypatch, capsys):
@@ -147,7 +180,7 @@ def test_run_experiment_writes_csv_and_metadata(tmp_path):
     assert outcome.csv_path.endswith("ES-B.csv")
     assert outcome.meta_path.endswith("ES-B.meta.json")
     trace = FitnessTrace.read_csv(outcome.csv_path)
-    assert trace.records == outcome.trace.records
+    assert trace.records == outcome.result.trace.records
     assert len(trace.records) == SMALL_EVO.trials * SMALL_EVO.iterations
     with open(outcome.meta_path) as handle:
         meta = json.load(handle)
@@ -200,7 +233,7 @@ def test_run_experiment_coevolution_logs_both_sides(tmp_path):
     outcome = run_experiment(
         "GA-C", str(tmp_path), master_seed=9, evo=SMALL_EVO, scenario=TINY
     )
-    trace = outcome.trace
+    trace = outcome.result.trace
     assert trace.sides() == ("blue", "red")
     assert len(trace.records) == SMALL_EVO.trials * SMALL_EVO.iterations * 2
 

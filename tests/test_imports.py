@@ -1,14 +1,21 @@
-"""Every module of the package imports on its own and uses what it imports.
+"""Every module of the package imports on its own, uses what it imports,
+and defines no public name that only tests read.
 
 The package roots re-export nothing, so an import cycle shows only when
 the module on one side of it is imported first.  One subprocess imports
 each module from an empty module cache in turn.  Because nothing is
 re-exported either, a name a module imports but never reads is dead.
+
+A public name of the package is read by the program when the package,
+the demos or the benchmark harness read it outside its own definition.
+Names are matched by their last component, so a method counts as read
+when any attribute of that name is read.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,3 +87,97 @@ def test_no_module_imports_a_name_it_never_uses():
         if (unused := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+# Where the program reads names: the package, the demos and the benchmark
+# harness, whose test files do not count.
+READERS = ("src", "demos", "perfbench")
+# The benchmark tracer binds names by strings such as
+# "cyberevo.episodes:run_episode" or "cyberevo.llm:LlmStats.summary".
+TRACED = re.compile(r"^[A-Za-z_][\w.]*:([A-Za-z_][\w.]*)$")
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, bare name, node) of every public top-level function,
+    class and module constant, and every public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, target.id, node
+
+
+def name_reads(tree: ast.Module):
+    """(name, line) of every name and attribute the module reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            traced = TRACED.match(node.value)
+            for part in traced.group(1).split(".") if traced else ():
+                yield part, node.lineno
+
+
+def unread_public_names(root: Path) -> list[str]:
+    """``module:name`` of every public name under ``root/src/cyberevo`` that
+    nothing under ``root``'s reader directories reads outside its definition."""
+    package = root / "src" / "cyberevo"
+    trees = {
+        path: ast.parse(path.read_text())
+        for folder in READERS
+        for path in sorted((root / folder).rglob("*.py"))
+        if not path.name.startswith("test_") and path.name != "conftest.py"
+    }
+    reads: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in name_reads(tree):
+            reads.setdefault(name, []).append((path, line))
+    unread = []
+    for path, tree in trees.items():
+        if package not in path.parents:
+            continue
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        for qualified, name, node in public_definitions(tree):
+            outside = [
+                (where, line) for where, line in reads.get(name, ())
+                if where != path or not node.lineno <= line <= node.end_lineno
+            ]
+            if not outside:
+                unread.append(f"{module}:{qualified}")
+    return unread
+
+
+def test_names_read_only_by_tests_are_detected(tmp_path):
+    planted = {
+        "src/cyberevo/shapes.py": (
+            "LIMIT = 3\n"
+            "def used():\n    return LIMIT\n"
+            "def traced():\n    return 1\n"
+            "def tested():\n    return tested\n"
+            "class Box:\n"
+            "    def open(self):\n        return Box\n"
+            "    def _hidden(self):\n        return 0\n"
+        ),
+        "demos/demo.py": "from cyberevo.shapes import Box, used\nprint(used(), Box)\n",
+        "perfbench/tracer.py": 'LAYERS = ("cyberevo.shapes:traced",)\n',
+        "perfbench/test_bench.py": "from cyberevo.shapes import Box\nBox().open()\n",
+        "tests/test_shapes.py": "from cyberevo.shapes import tested\nassert tested()\n",
+    }
+    for name, source in planted.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(source)
+    assert unread_public_names(tmp_path) == ["shapes:tested", "shapes:Box.open"]
+
+
+def test_every_public_name_has_a_reader_outside_tests():
+    root = Path(__file__).resolve().parent.parent
+    assert (root / "src" / "cyberevo").is_dir()
+    assert unread_public_names(root) == []

@@ -60,7 +60,7 @@ def test_prompt_contains_all_sections_in_order():
     i_program = prompt.index(PROGRAM_HEADER)
     i_instructions = prompt.index(INSTRUCTIONS)
     assert 0 < i_grammar < i_program < i_instructions
-    assert GRAMMAR.to_text().strip() in prompt
+    assert GRAMMAR.source.strip() in prompt
     assert "action = Monitor" in prompt
 
 

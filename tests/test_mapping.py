@@ -108,16 +108,33 @@ def test_empty_genome_is_invalid_not_an_error():
     assert result.tree is None and result.ast is None
 
 
-def test_wraps_can_be_disabled():
-    result = map_genome([0], parse_grammar('s: a\na: "x"\n'), max_wraps=0)
-    assert result.invalid
-
-
 def test_bad_codons_raise():
     with pytest.raises(ValueError):
         map_genome([1, -2], TOY_GRAMMAR)
     with pytest.raises(ValueError):
         map_genome([0.5], TOY_GRAMMAR)
+    with pytest.raises(ValueError):
+        map_genome(np.array([0.5]), TOY_GRAMMAR)
+
+
+def test_integer_arrays_are_checked_in_one_pass():
+    with pytest.raises(ValueError, match="nonnegative integers, got np.int64\\(-3\\)"):
+        map_genome(np.array([1, 0, -3, 2], dtype=np.int64), TOY_GRAMMAR)
+
+    def outcome(genome):
+        try:
+            return map_genome(genome, TOY_GRAMMAR).phenotype
+        except ValueError as exc:
+            return str(exc)
+
+    # The codon-by-codon check over the same numpy scalars is the reference.
+    rng = np.random.default_rng(12)
+    outcomes = set()
+    for _ in range(40):
+        array = rng.integers(-2, 30, size=6)
+        outcomes.add(outcome(array))
+        assert outcome(array) == outcome(list(array))
+    assert len(outcomes) > 5 and any(o.startswith("codons must") for o in outcomes)
 
 
 def test_modulo_selects_productions():

@@ -25,6 +25,8 @@ from cyberevo.scenario.rewards import (
     reward_for,
 )
 
+from helpers import packaged_reward_cells
+
 # Rows are (LocalWorkFails, AccessServiceFails, RedImpactAccess) per zone.
 EXPECTED_ROWS = {
     PHASE1: {
@@ -97,15 +99,15 @@ def test_lookup_unknown_cell_raises():
 
 
 def test_table_validation_rejects_missing_and_positive_cells():
-    cells = RewardTable.default().as_dict()
+    cells = packaged_reward_cells()
     del cells[PHASE1]["HQ Network"][LOCAL_WORK_FAILS]
     with pytest.raises(ScenarioConfigError):
         RewardTable(cells)
-    cells = RewardTable.default().as_dict()
+    cells = packaged_reward_cells()
     cells[PHASE2B]["Internet"][RED_IMPACT_ACCESS] = 1.0
     with pytest.raises(ScenarioConfigError):
         RewardTable(cells)
-    cells = RewardTable.default().as_dict()
+    cells = packaged_reward_cells()
     del cells[PHASE2A]
     with pytest.raises(ScenarioConfigError):
         RewardTable(cells)

@@ -244,12 +244,6 @@ def test_construction_rejects_illegal_programs():
             ),
             "red",
         )
-    with pytest.raises(ControllerError):
-        RuleController(
-            RuleAst(action_statements=(ActionAssign("Sleep"),)),
-            "red",
-            default_heuristic="best_target",
-        )
 
 
 def test_validation_reaches_nested_bodies():

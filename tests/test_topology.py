@@ -18,6 +18,8 @@ from cyberevo.scenario.topology import (
     zone_reachable,
 )
 
+from oracles import check_topology
+
 
 def bfs_reachable(blocked: set[tuple[str, str]]) -> dict[str, frozenset[str]]:
     """Independent breadth-first reachability over the zone graph."""
@@ -69,7 +71,7 @@ def test_generated_topology_respects_bounds():
     bounds = TopologyBounds()
     for seed in range(5):
         topology = generate_topology(seed, bounds)
-        topology.validate(bounds)
+        check_topology(topology, bounds)
         assert topology.hosts_by_zone[INTERNET] == []
         for zone in HOST_ZONES:
             servers = len(topology.servers_in(zone))
@@ -128,7 +130,7 @@ def test_validate_rejects_out_of_bounds_shapes():
     hosts = {"contractor_uav_srv0": Host("contractor_uav_srv0", "contractor_uav", True, 1)}
     by_zone = {zone: [] for zone in ZONES} | {"contractor_uav": ["contractor_uav_srv0"]}
     with pytest.raises(ScenarioConfigError):
-        Topology(0, hosts, by_zone).validate(TopologyBounds())
+        check_topology(Topology(hosts, by_zone), TopologyBounds())
 
 
 def test_zone_reachable_unblocked_graph_is_connected():

@@ -14,13 +14,15 @@ from cyberevo.errors import GrammarVariantError
 from cyberevo.grammar.ast import IfStatement, TargetAssign
 from cyberevo.grammar.model import NonTerminal, Terminal
 from cyberevo.grammar.variants import (
-    EXTRA_OBSERVATIONS,
     SIDES,
     Variant,
     grammar_asset_name,
     load_grammar,
 )
 from cyberevo.evolution import RuleTeamDecoder
+from cyberevo.llm import GRAMMAR_HEADER, PROGRAM_HEADER, build_prompt
+
+from helpers import EXTRA_OBSERVATIONS, fixed_target, has_target_section, observation_terminals
 
 ALL_VARIANTS = tuple(Variant)
 FIXED_TARGET_VARIANTS = {
@@ -47,12 +49,14 @@ def baseline_sections_around_target(side):
 
 
 def test_packaged_files_render_back_byte_for_byte():
-    # The LLM prompt embeds to_text(), so rule and alternative order matter.
+    # The LLM prompt's grammar section is the packaged file's text, as written.
     for side in SIDES:
         for variant in ALL_VARIANTS:
             name = grammar_asset_name(side, variant)
             text = resources.files("cyberevo.grammar").joinpath(f"data/{name}").read_text()
-            assert load_grammar(side, variant).to_text() == text, name
+            prompt = build_prompt(load_grammar(side, variant), "action = Sleep")
+            section = prompt.partition(f"{GRAMMAR_HEADER}\n\n")[2].partition(f"\n\n{PROGRAM_HEADER}")[0]
+            assert section == text.strip(), name
 
 
 def test_packaged_files_match_their_pinned_digests():
@@ -78,8 +82,8 @@ def test_fixed_target_variants_hardcode_their_heuristic():
         before, after = baseline_sections_around_target(side)
         for variant, heuristic in FIXED_TARGET_VARIANTS.items():
             grammar = load_grammar(side, variant)
-            assert grammar.fixed_target() == heuristic, (side, variant)
-            assert not grammar.has_target_section()
+            assert fixed_target(grammar) == heuristic, (side, variant)
+            assert not has_target_section(grammar)
             # only the target terminal of the start rule differs from the baseline
             assert grammar.start == baseline.start
             assert without_start(grammar) == without_start(baseline), (side, variant)
@@ -94,8 +98,8 @@ def test_tc_opens_the_target_section():
         assert set(tc.rules) - set(baseline.rules) == {
             "th_statements", "th_statement", "target_heuristic",
         }
-        assert tc.fixed_target() is None
-        assert tc.has_target_section()
+        assert fixed_target(tc) is None
+        assert has_target_section(tc)
         section = tc.productions(tc.start)[0]
         assert Terminal("#Select target") in section
         before, after = baseline_sections_around_target(side)
@@ -123,10 +127,10 @@ def test_oe_prepends_three_observations():
     for side in ("red", "blue"):
         baseline = load_grammar(side)
         oe = load_grammar(side, Variant.OE)
-        obs = oe.observation_terminals()
+        obs = observation_terminals(oe)
         assert len(obs) == 5
         assert obs[:3] == EXTRA_OBSERVATIONS
-        assert obs[3:] == baseline.observation_terminals()
+        assert obs[3:] == observation_terminals(baseline)
         for name in baseline.rules:
             if name != "observations":
                 assert oe.rules[name] == baseline.rules[name]
