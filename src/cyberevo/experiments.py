@@ -210,7 +210,6 @@ def run_experiment(
     master_seed: int = DEFAULT_MASTER_SEED,
     evo: Optional[EvoConfig] = None,
     scenario: Optional[ScenarioConfig] = None,
-    llm_client=None,
     llm_settings: Optional[dict] = None,
 ) -> ExperimentOutcome:
     """Run one named experiment and write its CSV + metadata artifacts."""
@@ -228,10 +227,9 @@ def run_experiment(
             f"{spec.name}: the spec asks for {spec.controllers_per_team!r} controllers per team, "
             f"the evolution config for {evo.controllers_per_team!r}"
         )
-    if spec.algorithm == "GE-LLM" and llm_client is None:
+    llm_client = None
+    if spec.algorithm == "GE-LLM":
         llm_client = _make_llm_client(llm_settings or {}, master_seed)
-    if spec.algorithm != "GE-LLM":
-        llm_client = None
 
     started = time.perf_counter()
     if spec.evolving == "both":

@@ -241,7 +241,7 @@ def test_run_experiment_coevolution_logs_both_sides(tmp_path):
 def test_run_experiment_with_llm_reports_call_stats(tmp_path):
     outcome = run_experiment(
         "GE-LLM-B", str(tmp_path), master_seed=3, evo=SMALL_EVO, scenario=TINY,
-        llm_client=EchoClient(),
+        llm_settings={"kind": "echo"},
     )
     with open(outcome.meta_path) as handle:
         meta = json.load(handle)
@@ -256,7 +256,7 @@ def test_run_experiment_with_llm_reports_call_stats(tmp_path):
 def test_non_llm_experiments_ignore_llm_clients(tmp_path):
     outcome = run_experiment(
         "ES-B", str(tmp_path), master_seed=2, evo=SMALL_EVO, scenario=TINY,
-        llm_client=EchoClient(),
+        llm_settings={"kind": "echo"},
     )
     assert outcome.result.llm_report is None
 

@@ -93,7 +93,7 @@ def test_no_module_imports_a_name_it_never_uses():
 # harness, whose test files do not count.
 READERS = ("src", "demos", "perfbench")
 # The benchmark tracer binds names by strings such as
-# "cyberevo.episodes:run_episode" or "cyberevo.llm:LlmStats.summary".
+# "cyberevo.episodes:run_episode" or "cyberevo.traces:FitnessTrace.write_csv".
 TRACED = re.compile(r"^[A-Za-z_][\w.]*:([A-Za-z_][\w.]*)$")
 
 
