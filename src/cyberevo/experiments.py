@@ -177,7 +177,7 @@ def _make_llm_client(settings: dict, master_seed: int):
         if not isinstance(settings.get(key), str) or not settings[key]:
             raise ExperimentSpecError(f"http llm settings need {key!r} as a non-empty string")
     for key in ("api_key", "api_key_env"):
-        if not isinstance(settings.get(key, ""), str):
+        if settings.get(key) is not None and not isinstance(settings[key], str):
             raise ExperimentSpecError(f"http llm setting {key!r} must be a string")
     timeout = settings.get("timeout", 30.0)
     # A bool is not a duration; a timeout that can never pass would turn

@@ -61,26 +61,12 @@ def tree_terminals(root: DerivNode) -> list[str]:
     return values
 
 
-def _first_bad_codon(genome: Sequence[int]):
-    """The first codon that is not a nonnegative integer, or None.
-
-    An integer array is checked in one numpy pass, anything else codon
-    by codon.
-    """
-    if isinstance(genome, np.ndarray) and genome.dtype.kind in "iu":
-        negative = genome[genome < 0]
-        return negative[0] if negative.size else None
-    for codon in genome:
-        if int(codon) != codon or codon < 0:
-            return codon
-    return None
-
-
 def map_genome(genome: Sequence[int], grammar: Grammar) -> MappingResult:
     """Decode `genome` into a phenotype string (and AST when applicable)."""
-    bad = _first_bad_codon(genome)
-    if bad is not None:
-        raise ValueError(f"codons must be nonnegative integers, got {bad!r}")
+    codons = np.asarray(genome)
+    bad = np.flatnonzero((codons < 0) | (codons % 1 != 0))
+    if bad.size:
+        raise ValueError(f"codons must be nonnegative integers, got {genome[bad[0]]!r}")
     root = DerivNode(NonTerminal(grammar.start))
     stack = [root]
     index = 0

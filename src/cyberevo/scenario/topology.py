@@ -82,9 +82,6 @@ class Topology:
     hosts: dict[str, Host]
     hosts_by_zone: dict[str, list[str]]
 
-    def user_hosts(self) -> list[str]:
-        return [h.id for h in self.hosts.values() if not h.server]
-
     def servers_in(self, zone: str) -> list[str]:
         return [h for h in self.hosts_by_zone[zone] if self.hosts[h].server]
 

@@ -1,5 +1,6 @@
-"""Test-only controllers, views of grammars, the engine and the reward
-table that only tests read, and the environment for child interpreters."""
+"""Test-only controllers, views of grammars, the engine, the topology and
+the reward table that only tests read, and the environment for child
+interpreters."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from cyberevo.errors import GrammarParseError
 from cyberevo.grammar.mapping import _FIXED_TARGET
 from cyberevo.grammar.model import Grammar, Terminal
 from cyberevo.scenario.engine import ScenarioSim
+from cyberevo.scenario.topology import Topology
 
 # The observations the OE grammar variants put before the baseline's two.
 EXTRA_OBSERVATIONS = (
@@ -78,6 +80,11 @@ def has_target_section(grammar: Grammar) -> bool:
 def agent_names(sim: ScenarioSim) -> list[str]:
     """Active agents in step order: blue agents, then red agents by slot."""
     return [*sim.blue_agents, *(agent.name for agent in sim.red_agents if agent is not None)]
+
+
+def user_hosts(topology: Topology) -> list[str]:
+    """Ids of every host that is not a server, zone by zone."""
+    return [h.id for h in topology.hosts.values() if not h.server]
 
 
 def packaged_reward_cells() -> dict:

@@ -29,7 +29,7 @@ from cyberevo.scenario.rewards import (
 )
 from cyberevo.scenario.topology import HOST_ZONES, INTERNET, REWARD_ZONE_OF, ZONES, TopologyBounds
 
-from helpers import agent_names
+from helpers import agent_names, user_hosts
 
 SMALL_BOUNDS = TopologyBounds(servers=(1, 2), user_hosts=(3, 4), services=(1, 2))
 
@@ -113,7 +113,7 @@ def test_same_seed_replays_identically():
 
 def test_rewards_are_zero_sum_each_step():
     sim = ScenarioSim(quiet_config(), seed=2)
-    victim = sim.topology.user_hosts()[0]
+    victim = user_hosts(sim.topology)[0]
     sim.hosts[victim].degraded = True
     for _ in range(5):
         result = sleep_step(sim)
@@ -145,7 +145,7 @@ def test_illegal_submissions_raise():
 
 def test_submission_for_a_deactivated_red_slot_raises():
     sim = ScenarioSim(quiet_config(), seed=3)
-    host = sim.topology.user_hosts()[-1]
+    host = user_hosts(sim.topology)[-1]
     plant_red(sim, 1, sim.topology.hosts[host].zone, host)
     step_with(sim, {"red_1": ("Withdraw", host)})
     assert sim.red_agents[1] is None  # its last session is gone
@@ -155,7 +155,7 @@ def test_submission_for_a_deactivated_red_slot_raises():
 
 def test_agent_context_finds_live_agents_and_rejects_other_names():
     sim = ScenarioSim(quiet_config(), seed=3)
-    host = sim.topology.user_hosts()[-1]
+    host = user_hosts(sim.topology)[-1]
     plant_red(sim, 2, sim.topology.hosts[host].zone, host)
     for name in ("blue_hq", "red_0", "red_2"):
         assert sim.agent_context(name).agent.name == name
@@ -573,7 +573,7 @@ def test_green_access_to_compromised_service_can_spread_red():
 
 def test_degraded_user_host_fails_local_work_every_step():
     sim = ScenarioSim(quiet_config(), seed=28)
-    victim = sim.topology.user_hosts()[0]
+    victim = user_hosts(sim.topology)[0]
     zone_label = REWARD_ZONE_OF[sim.topology.hosts[victim].zone]
     sim.hosts[victim].degraded = True
     for _ in range(3):
@@ -627,7 +627,7 @@ def test_blue_observation_covers_every_host():
 def test_blue_green_failures_counter_is_zone_local():
     sim = ScenarioSim(quiet_config(), seed=32)
     victim = next(
-        h for h in sim.topology.user_hosts()
+        h for h in user_hosts(sim.topology)
         if sim.topology.hosts[h].zone == "operational_zone_a"
     )
     sim.hosts[victim].degraded = True

@@ -25,7 +25,7 @@ from cyberevo.scenario.engine import (
     team_size,
 )
 from cyberevo.scenario.topology import ZONES, TopologyBounds
-from helpers import FixedActionController
+from helpers import FixedActionController, user_hosts
 
 CONFIG = ScenarioConfig(
     steps=30,
@@ -56,7 +56,7 @@ def test_agent_slots_follow_side_order():
     for i, agent in enumerate(sim.blue_agents.values()):
         assert agent.slot == i
     assert sim.red_agents[0].name == "red_0" and sim.red_agents[0].slot == 0
-    host = sim.topology.user_hosts()[-1]
+    host = user_hosts(sim.topology)[-1]
     sim._spawn_red(4, sim.topology.hosts[host].zone, host)
     assert sim.red_agents[4].name == "red_4" and sim.red_agents[4].slot == 4
     assert (RED_SLOTS, team_size("red", "many"), team_size("blue", "many")) == (6, 6, 5)

@@ -116,6 +116,8 @@ def test_llm_client_factory():
     assert http.timeout == 30.0
     http = _make_llm_client(HTTP | {"api_key": "k", "timeout": 2}, 1)
     assert (http.url, http.model, http.api_key, http.timeout) == (HTTP["url"], "m", "k", 2)
+    # null stands for a key not given
+    assert _make_llm_client(HTTP | {"api_key": None, "api_key_env": None}, 1).api_key is None
     with pytest.raises(ExperimentSpecError):
         _make_llm_client({"kind": "http", "url": "u"}, 1)  # model missing
     with pytest.raises(ExperimentSpecError):

@@ -114,16 +114,21 @@ def public_definitions(tree: ast.Module):
 
 
 def name_reads(tree: ast.Module):
-    """(name, line) of every name and attribute the module reads."""
+    """(name, line, called) of every name and attribute the module reads.
+
+    ``called`` marks an attribute that is called, and each part of a tracer
+    binding, which wraps what it names.
+    """
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, id(node) in called
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             traced = TRACED.match(node.value)
             for part in traced.group(1).split(".") if traced else ():
-                yield part, node.lineno
+                yield part, node.lineno, True
 
 
 def unread_public_names(root: Path) -> list[str]:
@@ -136,19 +141,23 @@ def unread_public_names(root: Path) -> list[str]:
         for path in sorted((root / folder).rglob("*.py"))
         if not path.name.startswith("test_") and path.name != "conftest.py"
     }
-    reads: dict[str, list[tuple[Path, int]]] = {}
+    reads: dict[str, list[tuple[Path, int, bool]]] = {}
     for path, tree in trees.items():
-        for name, line in name_reads(tree):
-            reads.setdefault(name, []).append((path, line))
+        for name, line, called in name_reads(tree):
+            reads.setdefault(name, []).append((path, line, called))
     unread = []
     for path, tree in trees.items():
         if package not in path.parents:
             continue
         module = ".".join(path.relative_to(package).with_suffix("").parts)
         for qualified, name, node in public_definitions(tree):
+            # A method is only read where it is called: a field or a local
+            # of the same name does not count.
+            method = qualified != name
             outside = [
-                (where, line) for where, line in reads.get(name, ())
-                if where != path or not node.lineno <= line <= node.end_lineno
+                (where, line) for where, line, called in reads.get(name, ())
+                if (called or not method)
+                and (where != path or not node.lineno <= line <= node.end_lineno)
             ]
             if not outside:
                 unread.append(f"{module}:{qualified}")
@@ -164,9 +173,15 @@ def test_names_read_only_by_tests_are_detected(tmp_path):
             "def tested():\n    return tested\n"
             "class Box:\n"
             "    def open(self):\n        return Box\n"
+            "    def close(self):\n        return 0\n"
+            "    def size(self):\n        return 0\n"
             "    def _hidden(self):\n        return 0\n"
         ),
-        "demos/demo.py": "from cyberevo.shapes import Box, used\nprint(used(), Box)\n",
+        # `size` is read only as a field of another object, never called.
+        "demos/demo.py": (
+            "from cyberevo.shapes import Box, used\n"
+            "print(used(), Box().close(), LIMITS.size)\n"
+        ),
         "perfbench/tracer.py": 'LAYERS = ("cyberevo.shapes:traced",)\n',
         "perfbench/test_bench.py": "from cyberevo.shapes import Box\nBox().open()\n",
         "tests/test_shapes.py": "from cyberevo.shapes import tested\nassert tested()\n",
@@ -174,7 +189,7 @@ def test_names_read_only_by_tests_are_detected(tmp_path):
     for name, source in planted.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(source)
-    assert unread_public_names(tmp_path) == ["shapes:tested", "shapes:Box.open"]
+    assert unread_public_names(tmp_path) == ["shapes:tested", "shapes:Box.open", "shapes:Box.size"]
 
 
 def test_every_public_name_has_a_reader_outside_tests():

@@ -18,6 +18,7 @@ from cyberevo.scenario.topology import (
     zone_reachable,
 )
 
+from helpers import user_hosts
 from oracles import check_topology
 
 
@@ -105,7 +106,7 @@ def test_impossible_bounds_are_config_errors(bounds):
 
 def test_user_hosts_and_servers_partition_each_zone():
     topology = generate_topology(4)
-    users = set(topology.user_hosts())
+    users = set(user_hosts(topology))
     for zone in HOST_ZONES:
         zone_hosts = set(topology.hosts_by_zone[zone])
         servers = set(topology.servers_in(zone))
