@@ -227,9 +227,11 @@ def run_experiment(
             f"{spec.name}: the spec asks for {spec.controllers_per_team!r} controllers per team, "
             f"the evolution config for {evo.controllers_per_team!r}"
         )
-    llm_client = None
-    if spec.algorithm == "GE-LLM":
-        llm_client = _make_llm_client(llm_settings or {}, master_seed)
+    # Every experiment checks its llm settings, so a malformed block is
+    # never silently ignored; only GE-LLM uses the client.
+    llm_client = _make_llm_client(llm_settings or {}, master_seed)
+    if spec.algorithm != "GE-LLM":
+        llm_client = None
 
     started = time.perf_counter()
     if spec.evolving == "both":

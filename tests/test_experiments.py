@@ -153,6 +153,15 @@ def test_malformed_llm_settings_are_rejected_before_the_run(llm, tmp_path, capsy
     assert not out.exists()
 
 
+def test_malformed_llm_settings_are_rejected_for_every_experiment(tmp_path, capsys):
+    out = tmp_path / "out"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"experiment": "GE-B", "steps": 6, "llm": {"kind": "telepathy"}}))
+    assert main(["run", str(spec), "--output-dir", str(out)]) == 2
+    assert "telepathy" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_an_unset_api_key_variable_is_rejected_before_the_run(tmp_path, monkeypatch, capsys):
     # Without the key every call would fail as transport and GE-LLM
     # would quietly turn into random restarts.
