@@ -6,6 +6,15 @@ come from the agent's decision context, not from its observation.  A
 state matches when every listed counter meets its threshold; the last
 matching state in priority order wins, which makes later, more severe
 states dominate earlier ones.
+
+`classify_state` memoizes its answer per side.  The table only tests
+``counter >= threshold``, so clamping each counter to the largest
+threshold the side's table names for it cannot change the state, and
+a counter the table never names cannot matter at all.  The memo is
+keyed on the clamped counters the table names, which bounds it by the
+table: with every threshold at 1 today, at most 2**4 red and 2**5 blue
+keys.  The table is read-only package data, so the memo cannot go
+stale.
 """
 
 from __future__ import annotations
@@ -47,6 +56,29 @@ def classify_counters(side: str, counters: dict[str, int]) -> str:
     return chosen
 
 
+@lru_cache(maxsize=None)
+def _caps(side: str) -> tuple[tuple[str, int], ...]:
+    """(counter, largest threshold) for each counter the side's table names."""
+    if side not in ("red", "blue"):
+        raise ControllerError(f"no classifier for side {side!r}")
+    caps: dict[str, int] = {}
+    for thresholds in _load_tables()[side]["states"].values():
+        for name, minimum in thresholds.items():
+            caps[name] = max(caps.get(name, minimum), minimum)
+    return tuple(caps.items())
+
+
+# {side: {clamped counters: state}}, filled by `classify_state`.
+_STATES: dict[str, dict[tuple[int, ...], str]] = {"red": {}, "blue": {}}
+
+
 def classify_state(side: str, context: AgentContext) -> str:
     """Classify an agent's situation into exactly one controller state."""
-    return classify_counters(side, context.counters())
+    caps = _caps(side)
+    counters = context.counters()
+    key = tuple([min(counters.get(name, 0), cap) for name, cap in caps])
+    memo = _STATES[side]
+    state = memo.get(key)
+    if state is None:
+        state = memo[key] = classify_counters(side, counters)
+    return state

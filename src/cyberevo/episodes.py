@@ -65,15 +65,20 @@ def run_episode(
     observations = sim.initial_observations()
     blue_rewards: list[float] = []
     teams = {"blue": blue_team, "red": red_team}
-    controllers: dict[str, Controller] = {}  # by agent name, looked up once
+    # Each agent's controller and live decision view, made when the agent
+    # is first idle.  Keyed by the agent object, not its name: a red
+    # agent that respawns into a freed slot is a new agent.
+    deciders: dict[RedAgent | BlueAgent, tuple[Controller, AgentContext]] = {}
     for _ in range(config.steps):
         submissions: dict[str, tuple[str, Optional[str]]] = {}
         for agent in sim.idle_agents():
             name = agent.name
-            controller = controllers.get(name)
-            if controller is None:
-                controller = controllers[name] = controller_for(teams[agent.side], agent)
-            context = sim.agent_context(name)
+            decider = deciders.get(agent)
+            if decider is None:
+                decider = deciders[agent] = (
+                    controller_for(teams[agent.side], agent), sim.agent_context(name)
+                )
+            controller, context = decider
             action, heuristic = controller.decide(observations[name], context, rng)
             target = resolve_heuristic_target(action, heuristic, context, rng)
             submissions[name] = (action, target)

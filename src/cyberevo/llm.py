@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -53,12 +54,27 @@ def build_prompt(grammar: Grammar, program: str) -> str:
     for name, text in (("grammar", grammar_text), ("program", program)):
         if not text:
             raise ValueError(f"prompt section {name!r} is empty")
+    return _assemble(grammar_text, program)
+
+
+def _assemble(grammar_text: str, program: str) -> str:
     return (
         f"{PERSONA}\n\n"
         f"{GRAMMAR_HEADER}\n\n{grammar_text}\n\n"
         f"{PROGRAM_HEADER}\n\n```python\n{program}\n```\n\n"
         f"{INSTRUCTIONS}\n"
     )
+
+
+@lru_cache(maxsize=None)
+def _fixed_prompt_tokens(grammar_source: str) -> int:
+    """The whitespace tokens of a prompt for this grammar, less the program's.
+
+    Every section of the prompt is set off by whitespace, so
+    ``len(build_prompt(grammar, program).split())`` is this count plus
+    ``len(program.split())``, without splitting the whole prompt.
+    """
+    return len(_assemble(grammar_source.strip(), "").split())
 
 
 @dataclass(frozen=True)
@@ -254,7 +270,8 @@ def llm_mutate(
     stats.latency_total += latency
     tokens = completion.tokens
     if tokens is None:
-        tokens = len(prompt.split()) + len(completion.text.split())
+        prompt_tokens = _fixed_prompt_tokens(grammar.source) + len(program.split())
+        tokens = prompt_tokens + len(completion.text.split())
     stats.tokens_total += int(tokens)
     code = extract_code(completion.text)
     try:

@@ -82,5 +82,8 @@ DEFAULT_DURATIONS = {
 }
 
 
+_LEGAL = {side: frozenset(actions) for side, actions in ACTIONS_BY_SIDE.items()}
+
+
 def is_legal(side: str, action: str) -> bool:
-    return action in ACTIONS_BY_SIDE.get(side, ())
+    return action in _LEGAL.get(side, ())

@@ -23,7 +23,11 @@ so a host appears once for each service it runs.  Each green host, in
 topology order, draws one `random()` to choose local work; otherwise it
 draws `integers(len(table))`, an index into the service table, again
 until the service is not on its own host, and an access that reaches a
-compromised host draws one more `random()` for a red spawn.
+compromised host draws one more `random()` for a red spawn.  The two
+probability draws, like each zone's phishing roll, are compared as raw
+words: `ScalarStream.next_word()` against the probability's
+`seeds.word_cut`, which reads the same word and gives the same answer
+as `random() < p`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..errors import ControllerError, SimulationFault
-from ..seeds import STREAM_TOPOLOGY, ScalarStream, derive_seed, spawn_stream
+from ..seeds import STREAM_TOPOLOGY, ScalarStream, derive_seed, spawn_stream, word_cut
 from . import actions as act
 from .config import ScenarioConfig
 from .observations import FALSE, TRUE, UNKNOWN, Observation
@@ -159,16 +163,18 @@ class RedAgent:
 
 class BlueAgent:
     side = act.BLUE
-    __slots__ = ("name", "slot", "zones", "home_host", "zone_hosts", "pending",
+    __slots__ = ("name", "slot", "zones", "home_host", "zone_hosts", "zone_states", "pending",
                  "last_success", "monitor_step", "analysed_clean_step")
 
     def __init__(self, name: str, slot: int, zones: tuple[str, ...], home_host: str,
-                 zone_hosts: list[str]):
+                 zone_states: list[tuple[str, HostRuntime]]):
         self.name = name
         self.slot = slot
         self.zones = zones
         self.home_host = home_host
-        self.zone_hosts = zone_hosts
+        # The hosts of the agent's zones, in topology order, and their state.
+        self.zone_states = zone_states
+        self.zone_hosts = [host_id for host_id, _ in zone_states]
         self.pending: tuple[str, str | None, int] | None = None
         self.last_success = UNKNOWN
         self.monitor_step = -1
@@ -187,14 +193,15 @@ RED_TARGET_SESSIONS = {
 
 
 class AgentContext:
-    """One agent's decision context: a view over the simulation state.
+    """One agent's decision context: a live view over the simulation state.
 
-    Nothing is computed when the view is made.  `counters` gives the
-    classifier's counters and `targets` the candidate list of one
-    action; each reads the state when it is called.  The view answers
-    for the step it was made at: read it before the next `step()`, as
-    the episode runner does, because `step()` changes the state it reads
-    and the lists it returns.
+    Nothing is computed when the view is made, and nothing is kept.
+    `counters` gives the classifier's counters and `targets` the
+    candidate list of one action; each reads the state when it is
+    called, so one view answers for whichever step its agent is at.  The
+    episode runner makes one view per agent object and keeps it all
+    episode.  A returned list may be the agent's own: read it before the
+    next `step()`, which may change it.
     """
 
     __slots__ = ("sim", "agent", "side")
@@ -225,7 +232,7 @@ class AgentContext:
                 continue
             if kind == DETECT_DECOY or agent.monitor_step == last:
                 zone_suspicious += 1
-        hosts = [sim.hosts[h] for h in agent.zone_hosts]
+        hosts = [host for _, host in agent.zone_states]
         return {
             "zone_suspicious": zone_suspicious,
             "zone_failures": sum(sim._zone_failures.get(z, 0) for z in agent.zones),
@@ -248,7 +255,8 @@ class AgentContext:
         sim, agent = self.sim, self.agent
         if act.TARGET_KINDS[action] == act.TARGET_ZONE:
             if self.side == act.RED:
-                return [z for z in ZONES if sim.reachable(agent.zone, z)]
+                reach = sim._routes()[agent.zone]
+                return [z for z in ZONES if z in reach]
             return [z for z in ZONES if z not in agent.zones]
         if self.side == act.RED:
             level = RED_TARGET_SESSIONS.get(action)
@@ -256,13 +264,16 @@ class AgentContext:
                 return agent.known
             return [h for h in agent.known if agent.sessions.get(h, NO_COMPROMISE) == level]
         flagged = []
-        for position, host_id in enumerate(agent.zone_hosts):
-            host = sim.hosts[host_id]
-            first = host.flagged_step if host.flagged_step is not None else host.confirmed_step
+        for position, (host_id, host) in enumerate(agent.zone_states):
+            first = host.flagged_step
+            if first is None:
+                first = host.confirmed_step
             if first is not None:
                 flagged.append((first, position, host_id))
+        if not flagged:
+            return agent.zone_hosts
         flagged.sort()
-        return [host_id for _, _, host_id in flagged] or agent.zone_hosts
+        return [host_id for _, _, host_id in flagged]
 
 
 @dataclass
@@ -300,6 +311,10 @@ class ScenarioSim:
             (h, host.zone, self.hosts[h]) for h, host in hosts.items() for _ in range(host.services)
         ]
         self._draw_service = self.rng.below(len(self._service_table))
+        # `next_word() < cut` is `random() < p` (see `seeds.word_cut`).
+        self._local_work_cut = word_cut(config.green_local_work_p)
+        self._spawn_cut = word_cut(config.service_spawn_p)
+        self._phishing_cut = word_cut(config.phishing_p)
         self._servers = frozenset(h for h, host in hosts.items() if host.server)
         self._spawn_initial_agents()
 
@@ -313,8 +328,8 @@ class ScenarioSim:
         self.hosts[entry].red_level = USER_LEVEL
         for slot, (name, zones) in enumerate(BLUE_AGENT_ZONES):
             home = self.topology.servers_in(zones[0])[0]
-            zone_hosts = [h for z in zones for h in self.topology.hosts_by_zone[z]]
-            self.blue_agents[name] = BlueAgent(name, slot, zones, home, zone_hosts)
+            states = [(h, self.hosts[h]) for z in zones for h in self.topology.hosts_by_zone[z]]
+            self.blue_agents[name] = BlueAgent(name, slot, zones, home, states)
 
     # ------------------------------------------------------------------
     # queries used by the episode runner
@@ -656,8 +671,9 @@ class ScenarioSim:
         self.hosts[entry_host].red_level = max(self.hosts[entry_host].red_level, USER_LEVEL)
 
     def _roll_phishing(self):
+        word, cut = self.rng.next_word, self._phishing_cut
         for zone in HOST_ZONES:
-            if self.rng.random() >= self.config.phishing_p:
+            if word() >= cut:
                 continue
             if self._red_in_zone(zone) is not None:
                 continue
@@ -670,11 +686,11 @@ class ScenarioSim:
 
     def _run_greens(self, events: list[StepEvent]):
         """Each green host works locally or uses a service (see the module doc)."""
-        random, draw = self.rng.random, self._draw_service
-        local_work_p, spawn_p = self.config.green_local_work_p, self.config.service_spawn_p
+        word, draw = self.rng.next_word, self._draw_service
+        local_work_cut, spawn_cut = self._local_work_cut, self._spawn_cut
         table, routes = self._service_table, self._routes()
         for host_id, zone, host in self._greens:
-            if random() < local_work_p:
+            if word() < local_work_cut:
                 if host.degraded or host.restoring:
                     self._green_failure(zone, LOCAL_WORK_FAILS, events)
                 continue
@@ -684,7 +700,7 @@ class ScenarioSim:
             if target_zone not in routes[zone] or target_state.degraded or target_state.restoring:
                 # Failed service access is charged to the zone offering the service.
                 self._green_failure(target_zone, ACCESS_SERVICE_FAILS, events)
-            elif target_state.red_level >= USER_LEVEL and random() < spawn_p:
+            elif target_state.red_level >= USER_LEVEL and word() < spawn_cut:
                 # A green host that used a compromised service hands red a session.
                 self._hand_red_session(zone, host_id)
 
@@ -697,9 +713,10 @@ class ScenarioSim:
         """
         resident = self._red_in_zone(zone)
         if resident is not None:
-            resident.sessions[host_id] = max(resident.sessions.get(host_id, 0), USER_LEVEL)
-            resident.learn(host_id)
-            self._recompute_level(host_id)
+            if host_id not in resident.sessions:  # a held session is known and counted
+                resident.sessions[host_id] = USER_LEVEL
+                resident.learn(host_id)
+                self._recompute_level(host_id)
             return True
         slot = self._free_slot()
         if slot is None:
@@ -743,24 +760,32 @@ class ScenarioSim:
 
     def _build_observations(self) -> dict[str, Observation]:
         last = self._last_applied_step
-        scans = sum(
-            1 for host_id, kind in self._detections
-            if kind == DETECT_SCAN and self._zone_monitored(self.topology.hosts[host_id].zone, last)
-        )
+        scans = 0
+        for host_id, kind in self._detections:
+            if kind == DETECT_SCAN and self._zone_monitored(self.topology.hosts[host_id].zone, last):
+                scans += 1
         files_user = files_root = 0
         for host in self._analysed:
             files_user += host.files_user_evidence
             files_root += host.files_root_evidence
         n_servers = len(self._servers)
-        observations = {
-            name: Observation(agent.last_success, scans, files_user, files_root, n_servers)
-            for name, agent in self.blue_agents.items()
-        }
+        # Blue agents differ only in their success flag, so agents with
+        # equal flags share one record: at most three per step.
+        shared: dict[str, Observation] = {}
+        observations = {}
+        for name, agent in self.blue_agents.items():
+            success = agent.last_success
+            observation = shared.get(success)
+            if observation is None:
+                observation = shared[success] = Observation(
+                    success, scans, files_user, files_root, n_servers
+                )
+            observations[name] = observation
         for red in self.red_agents:
             if red is None:
                 continue
             # Sessions are always on known hosts, so they count directly.
-            roots = sum(1 for level in red.sessions.values() if level == ROOT_LEVEL)
+            roots = [*red.sessions.values()].count(ROOT_LEVEL)
             servers = len(self._servers & red.known_set)
             observations[red.name] = Observation(
                 red.last_success, len(red.known), len(red.sessions), roots, servers, roots
@@ -771,7 +796,7 @@ class ScenarioSim:
         return self._build_observations()
 
     def agent_context(self, name: str) -> AgentContext:
-        """The decision context of one agent, valid until the next `step()`."""
+        """A live view of one agent's decision context (see `AgentContext`)."""
         return AgentContext(self, self._agent(name))
 
 

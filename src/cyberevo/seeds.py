@@ -22,13 +22,18 @@ reproduce numpy's ``Generator.random()`` and ``Generator.integers()``
 bit for bit from the generator's raw 64-bit words, without numpy's
 per-call overhead.  A loop that draws over one fixed span, as the
 engine's green users do, takes a draw function from
-``ScalarStream.below(span)`` once and calls it without arguments.
+``ScalarStream.below(span)`` once and calls it without arguments.  A
+loop that tests one fixed probability ``p`` computes ``word_cut(p)``
+once and compares raw words from ``ScalarStream.next_word`` with it:
+``next_word() < word_cut(p)`` is exactly ``random() < p``, and reads
+the same word, without the shift and the float multiply.
 Variation draws arrays and keeps a numpy Generator from
 `spawn_generator`.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from itertools import chain, repeat
 from typing import Callable
@@ -66,6 +71,36 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(_clean(parts)).generate_state(1)[0])
 
 
+def word_cut(p: float) -> int:
+    """The raw word below which ``random()`` falls below ``p``.
+
+    For every 64-bit word ``w``, ``w < word_cut(p)`` holds exactly when
+    ``(w >> 11) * 2**-53 < p``, the test ``random() < p`` makes on ``w``.
+
+    Proof.  Let ``k = w >> 11``, so ``w = k * 2**11 + r`` with
+    ``0 <= r < 2**11`` and ``0 <= k < 2**53``, and let ``c`` be
+    ``ceil(p * 2**53)``.
+
+    * ``k * 2**-53`` and ``p * 2**53`` are exact in binary64.  Scaling
+      by a power of two only moves the exponent, and neither product
+      leaves the normal range: ``k * 2**-53`` is 0 or at least
+      ``2**-53``, and for ``0 <= p <= 1`` the product ``p * 2**53`` is
+      0 or at least ``2**-1021``, even for a subnormal ``p``.  So the
+      float test ``k * 2**-53 < p`` is the real inequality
+      ``k < p * 2**53``.
+    * For an integer ``k`` and a real ``x``, ``k < x`` exactly when
+      ``k < ceil(x)``: ``x <= ceil(x)`` gives one direction, and
+      ``ceil(x) - 1 < x`` the other.  So the test is ``k < c``.
+    * ``k < c`` exactly when ``w < c * 2**11``: if ``k <= c - 1`` then
+      ``w <= (c - 1) * 2**11 + 2**11 - 1 < c * 2**11``; if ``k >= c``
+      then ``w >= c * 2**11``.
+
+    Hence ``w < (c << 11)``.  A ``p`` of 0 or less gives a cut no word
+    is below, and a ``p`` of 1 gives ``2**64``, above every word.
+    """
+    return math.ceil(p * 2.0**53) << 11
+
+
 class ScalarStream:
     """A PCG64 Generator's scalar ``random()`` and ``integers()``, in Python.
 
@@ -80,7 +115,10 @@ class ScalarStream:
       below ``(2**32 - span) % span``.  A span of 1 draws nothing.
 
     ``below(span)`` returns a function that gives ``integers(span)``
-    draws from the same rejection loop and half-word buffer.  Spans up
+    draws from the same rejection loop and half-word buffer.
+    ``next_word()`` returns the next raw word itself, the word a
+    ``random()`` call would have read; compare it with a `word_cut`.
+    It leaves the half-word buffer alone, as ``random()`` does.  Spans up
     to ``2**32`` are supported.  The stream reads the bit generator
     ahead in blocks, so the wrapped Generator must not be used once it
     is wrapped.
@@ -91,11 +129,11 @@ class ScalarStream:
         state = bit_generator.state
         self._half: int | None = state["uinteger"] if state["has_uint32"] else None
         blocks = map(np.ndarray.tolist, map(bit_generator.random_raw, repeat(_BLOCK)))
-        self._next_word = chain.from_iterable(blocks).__next__
+        self.next_word = chain.from_iterable(blocks).__next__
 
     def random(self) -> float:
         """A float in [0, 1), as ``Generator.random()``."""
-        return (self._next_word() >> 11) * _UNIT
+        return (self.next_word() >> 11) * _UNIT
 
     def integers(self, low: int, high: int | None = None) -> int:
         """An int in [low, high), or [0, low) without ``high``, as ``Generator.integers``."""
@@ -127,7 +165,7 @@ class ScalarStream:
         while True:
             half = self._half
             if half is None:
-                word = self._next_word()
+                word = self.next_word()
                 self._half = word >> 32
                 half = word & _LOW32
             else:

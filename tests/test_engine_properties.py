@@ -199,3 +199,40 @@ def test_blue_counts_that_baseline_programs_read_never_change():
         assert len(seen) == config.steps * len(sim.blue_agents)
         assert set(seen) == {(n_servers, 0)}
         assert n_servers > 2
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    fsm=st.booleans(),
+    phishing_p=st.sampled_from([0.02, 0.3]),
+)
+def test_a_kept_context_answers_as_a_fresh_one(seed, fsm, phishing_p):
+    """The episode runner keeps one decision view per agent object all
+    episode; a view made at an earlier step must answer every later step
+    as one made at that step does."""
+    config = ScenarioConfig(steps=STEPS, phase_boundaries=(10, 20), phishing_p=phishing_p)
+    sim = ScenarioSim(config, seed)
+    if fsm:
+        teams = {"blue": [load_fsm_adversary("blue")], "red": [load_fsm_adversary("red")]}
+    else:
+        teams = {"blue": [RandomLegalController("blue")], "red": [RandomLegalController("red")]}
+    rng = spawn_generator(seed, STREAM_CONTROLLER)
+    kept = {}
+    observations = sim.initial_observations()
+    for _ in range(config.steps):
+        submissions = {}
+        for agent in sim.idle_agents():
+            fresh = sim.agent_context(agent.name)
+            context = kept.setdefault(agent, fresh)
+            assert context.counters() == fresh.counters(), agent.name
+            for action in RED_ACTIONS if agent.side == "red" else BLUE_ACTIONS:
+                if TARGET_KINDS[action] != TARGET_NONE:
+                    assert context.targets(action) == fresh.targets(action), (agent.name, action)
+            action, heuristic = controller_for(teams[agent.side], agent).decide(
+                observations[agent.name], context, rng
+            )
+            submissions[agent.name] = (
+                action, resolve_heuristic_target(action, heuristic, context, rng)
+            )
+        observations = sim.step(submissions).observations

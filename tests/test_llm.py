@@ -198,6 +198,21 @@ def test_token_fallback_counts_whitespace_words():
     assert stats.tokens_total == len(prompt.split()) + len(reply.split())
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("side", ["blue", "red"])
+def test_token_fallback_counts_the_prompt_without_splitting_it(side, variant):
+    """The fallback's prompt count, cached per grammar source, is the
+    whitespace split of the whole prompt for every packaged grammar."""
+    decoder = RuleTeamDecoder(side, variant)
+    rng = np.random.default_rng(7)
+    programs = [fresh_individual(decoder, rng, 100).program for _ in range(4)]
+    programs += [MONITOR_TEXT, "x", "  a\tb\n\n  c  \n", "```python\nx\n```"]
+    for program in programs:
+        expected = len(build_prompt(decoder.grammar, program).split())
+        counted = llm_module._fixed_prompt_tokens(decoder.grammar.source) + len(program.split())
+        assert counted == expected, program
+
+
 def test_reported_token_counts_win_over_the_fallback():
     class Counting:
         def complete(self, prompt):

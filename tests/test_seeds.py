@@ -21,6 +21,7 @@ from cyberevo.seeds import (
     derive_seed,
     spawn_generator,
     spawn_stream,
+    word_cut,
 )
 
 
@@ -198,3 +199,44 @@ def test_below_a_span_of_one_draws_nothing_and_bad_spans_are_rejected():
         with pytest.raises(ValueError):
             stream.below(span)
     assert_same_draws(generator, stream, [("integers", 180), ("random",), ("integers", 3)])
+
+
+# ---------------------------------------------------------------------------
+# word_cut and ScalarStream.next_word: probability tests on raw words
+
+CUT_PROBABILITIES = (0.0, 2.0**-60, 0.02, 0.25, 1 / 3, 0.5, np.nextafter(1.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("p", CUT_PROBABILITIES)
+def test_word_cut_agrees_with_random_below_p(p):
+    """``w < word_cut(p)`` is ``random() < p`` on the same word: at the
+    cut, on either side of it, and on 10**5 seeded words."""
+    p = float(p)
+    cut = word_cut(p)
+    seeded = spawn_generator(18, int(p * 1000)).bit_generator.random_raw(10**5).tolist()
+    words = [w for w in (cut - 1, cut, cut + 1) if 0 <= w < 2**64] + seeded
+    for w in words:
+        assert (w < cut) == ((w >> 11) * 2.0**-53 < p), (p, w)
+
+
+def test_word_cut_edges():
+    assert word_cut(0.0) == 0
+    assert word_cut(1.0) == 2**64
+    assert word_cut(2.0**-60) == 1 << 11  # only the words of random() == 0
+    assert word_cut(0.5) == 1 << 63
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_next_word_is_the_word_random_reads(buffered):
+    """A stream that reads ``next_word`` where another calls ``random()``
+    sees the same later ``random()`` and ``integers()`` draws, and the
+    buffered half-word stays where it was."""
+    reading, calling = spawn_stream(21, 4), spawn_stream(21, 4)
+    if buffered:
+        assert reading.integers(180) == calling.integers(180)  # buffers a high half
+    later = [("random",), ("integers", 3), ("integers", 180), ("random",), ("integers", 2**32)]
+    for _ in range(300):
+        word = reading.next_word()
+        assert (word >> 11) * 2.0**-53 == calling.random()
+        for method, *args in later:
+            assert getattr(reading, method)(*args) == getattr(calling, method)(*args)
