@@ -6,8 +6,9 @@ grammars' observation functions.  The engine computes each count once
 per step; a program's condition reads the field of the same name.
 
 An `Observation` is a named tuple: immutable, hashable and cheap to
-build, since the engine builds one per agent per step.  Rule controllers
-key their decision memos on it.
+build, since the engine builds one per red agent per step, and one per
+distinct success flag for the blue agents, which share the rest.  Rule
+controllers key their decision memos on it.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from cyberevo.errors import ControllerError
 from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.scenario.engine import ScenarioSim
 
+# Every counter the decision context computes, per side.
 COUNTERS = {
     "red": (
         "known_hosts", "discovery_events", "services_discovered",
@@ -93,16 +94,7 @@ def test_unlisted_counters_are_ignored():
 
 
 def test_every_threshold_counter_is_documented():
-    tables_doc = {
-        "red": {
-            "known_hosts", "discovery_events", "services_discovered",
-            "user_sessions", "root_sessions",
-        },
-        "blue": {
-            "zone_suspicious", "zone_failures", "flagged_suspicious",
-            "confirmed_compromised", "analysed_clean",
-        },
-    }
+    tables_doc = {side: set(names) for side, names in COUNTERS.items()}
     table_text = resources.files("cyberevo.controllers").joinpath(
         "data/state_classifier.json"
     ).read_text()
