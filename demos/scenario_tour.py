@@ -4,19 +4,22 @@
 Generates a network, walks through a full episode with the built-in
 fixed red and blue strategies, and narrates what both sides did for the
 opening steps before summarizing the final score by mission phase.
+The loop drives the engine exactly as `run_episode` does, and the tour
+ends by checking that both give the same total.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 
 from cyberevo.controllers.fsm import load_fsm_adversary
-from cyberevo.episodes import controller_for, resolve_heuristic_target
+from cyberevo.episodes import controller_for, resolve_heuristic_target, run_episode
 from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.scenario.engine import ScenarioSim
 from cyberevo.scenario.rewards import phase_of
 from cyberevo.scenario.topology import ZONES
-from cyberevo.seeds import STREAM_CONTROLLER, spawn_generator
+from cyberevo.seeds import STREAM_CONTROLLER, spawn_stream
 
 SEED = 11
 NARRATED_STEPS = 12
@@ -47,27 +50,26 @@ def main() -> None:
 
     blue_team = [load_fsm_adversary("blue")]
     red_team = [load_fsm_adversary("red")]
-    rng = spawn_generator(SEED, STREAM_CONTROLLER)
-    observations = sim.initial_observations()
+    teams = {"blue": blue_team, "red": red_team}
+    rng = spawn_stream(SEED, STREAM_CONTROLLER)
 
     print(f"\nEpisode: {config.steps} steps, phases change after steps "
           f"{config.phase_boundaries[0]} and {config.phase_boundaries[1]}.")
     print(f"First {NARRATED_STEPS} steps in detail:\n")
 
     phase_blue = defaultdict(float)
+    step_rewards = []
     for step in range(config.steps):
         submissions = {}
-        for name in sim.idle_agent_names():
-            team = blue_team if sim.side_of(name) == "blue" else red_team
-            context = sim.agent_context(name)
-            controller = controller_for(team, context.agent)
-            action, heuristic = controller.decide(observations[name], context, rng)
+        for agent in sim.idle_agents():
+            context = sim.agent_context(agent.name)
+            action, heuristic = controller_for(teams[agent.side], agent).decide(context, rng)
             target = resolve_heuristic_target(action, heuristic, context, rng)
-            submissions[name] = (action, target)
+            submissions[agent.name] = (action, target)
         result = sim.step(submissions)
-        observations = result.observations
         phase = phase_of(step, config.phase_boundaries, config.steps)
         phase_blue[phase] += result.blue_reward
+        step_rewards.append(result.blue_reward)
 
         if step < NARRATED_STEPS:
             moves = ", ".join(
@@ -83,12 +85,14 @@ def main() -> None:
                 print(f"          event: {kind} x{count} in {zone}")
 
     print("\nBlue reward by phase (red receives the mirror image):")
-    total = 0.0
     for phase in sorted(phase_blue):
         print(f"  {phase:8s} {phase_blue[phase]:+9.1f}")
-        total += phase_blue[phase]
+    total = float(sum(step_rewards))  # summed as run_episode sums
     print(f"  {'total':8s} {total:+9.1f}")
-    print(f"\nCross-check with the engine's own accounting: {sim.cumulative_blue:+.1f}")
+    expected = run_episode(config, SEED, blue_team, red_team).blue_total
+    print(f"\nCross-check with run_episode on the same seed: {expected:+.1f}")
+    if total != expected:
+        sys.exit(f"the hand-driven total {total!r} differs from run_episode's {expected!r}")
 
 
 if __name__ == "__main__":

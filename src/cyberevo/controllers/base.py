@@ -1,8 +1,11 @@
 """Controller interface shared by matrix and rule controllers.
 
 A controller answers one question per decision: which action, and which
-target heuristic.  The episode runner resolves the heuristic into a
-concrete host or zone according to the action's target kind.
+target heuristic.  Its one input is the agent's decision context, from
+which it reads only what it needs: a rule controller the observation, a
+matrix controller the classifier's counters.  The episode runner
+resolves the heuristic into a concrete host or zone according to the
+action's target kind.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 from typing import Protocol, runtime_checkable
 
 from ..scenario.engine import AgentContext
-from ..scenario.observations import Observation
 from ..seeds import ScalarStream
 
 RANDOM_TARGET = "random_target"
@@ -23,9 +25,7 @@ TARGET_HEURISTICS = (RANDOM_TARGET, FIRST_TARGET, LAST_TARGET)
 class Controller(Protocol):
     side: str
 
-    def decide(
-        self, observation: Observation, context: AgentContext, rng: ScalarStream
-    ) -> tuple[str, str]:
+    def decide(self, context: AgentContext, rng: ScalarStream) -> tuple[str, str]:
         """Return (action name, target heuristic name).
 
         ``rng`` is the episode's controller stream, shared by every
@@ -40,5 +40,5 @@ class SleepController:
     def __init__(self, side: str):
         self.side = side
 
-    def decide(self, observation, context, rng) -> tuple[str, str]:
+    def decide(self, context, rng) -> tuple[str, str]:
         return "Sleep", RANDOM_TARGET

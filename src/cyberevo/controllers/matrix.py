@@ -106,7 +106,7 @@ class MatrixController:
         idx = bisect_right(self._cums[state], rng.random())
         return self.actions[min(idx, len(self.actions) - 1)]
 
-    def decide(self, observation, context, rng) -> tuple[str, str]:
+    def decide(self, context, rng) -> tuple[str, str]:
         state = classify_state(self.side, context)
         return self.sample(state, rng), RANDOM_TARGET
 

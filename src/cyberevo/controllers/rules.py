@@ -6,7 +6,7 @@ last executed assignment to the action (and, when present, to the
 target heuristic) wins.  Unassigned slots fall back to Sleep and the
 random target heuristic.
 
-A decision reads only the observation, never the decision context or
+A decision reads only the observation its decision context gives, never
 the stream, so each controller memoizes its decisions by observation.
 The controller is frozen, so its program cannot change under the memo.
 """
@@ -125,9 +125,8 @@ class RuleController:
         _validate_statements(self.ast.action_statements, self.side, "action section")
         _validate_statements(self.ast.target_statements, self.side, "target section")
 
-    def decide(
-        self, observation: Observation, context, rng: ScalarStream
-    ) -> tuple[str, str]:
+    def decide(self, context, rng: ScalarStream) -> tuple[str, str]:
+        observation = context.observation()
         decision = self._decisions.get(observation)
         if decision is None:
             decision = self._decisions[observation] = self._walk(observation)

@@ -2,11 +2,12 @@
 
 A team is a sequence of controllers indexed by agent slot (see
 ``scenario.engine.team_size``).  A length-1 team is broadcast: every
-agent of that side shares the single controller.  Target heuristics
-returned by controllers are resolved here, from the candidate list the
-agent's decision context gives for the chosen action.  Every decision
-and target draw of an episode comes from its controller stream, the
-`ScalarStream` of ``(seed, STREAM_CONTROLLER)``.
+agent of that side shares the single controller.  A controller decides
+from the agent's decision context alone.  The target heuristic it
+returns is resolved here, from the candidate list the same context gives
+for the chosen action.  Every decision and target draw of an episode
+comes from its controller stream, the `ScalarStream` of
+``(seed, STREAM_CONTROLLER)``.
 """
 
 from __future__ import annotations
@@ -45,10 +46,9 @@ def resolve_heuristic_target(
 
 @dataclass(frozen=True)
 class EpisodeResult:
-    """Totals and per-step blue rewards for one finished episode."""
+    """Blue's total and per-step rewards for one episode; red's are their negations."""
 
     blue_total: float
-    red_total: float
     steps: int
     blue_rewards: tuple[float, ...]
 
@@ -59,10 +59,9 @@ def run_episode(
     blue_team: Team,
     red_team: Team,
 ) -> EpisodeResult:
-    """Simulate one episode and return the summed zero-sum rewards."""
+    """Simulate one episode and return blue's summed rewards."""
     sim = ScenarioSim(config, seed)
     rng = spawn_stream(seed, STREAM_CONTROLLER)
-    observations = sim.initial_observations()
     blue_rewards: list[float] = []
     teams = {"blue": blue_team, "red": red_team}
     # Each agent's controller and live decision view, made when the agent
@@ -79,16 +78,12 @@ def run_episode(
                     controller_for(teams[agent.side], agent), sim.agent_context(name)
                 )
             controller, context = decider
-            action, heuristic = controller.decide(observations[name], context, rng)
+            action, heuristic = controller.decide(context, rng)
             target = resolve_heuristic_target(action, heuristic, context, rng)
             submissions[name] = (action, target)
-        result = sim.step(submissions)
-        observations = result.observations
-        blue_rewards.append(result.blue_reward)
-    total = float(sum(blue_rewards))
+        blue_rewards.append(sim.step(submissions).blue_reward)
     return EpisodeResult(
-        blue_total=total,
-        red_total=-total,
+        blue_total=float(sum(blue_rewards)),
         steps=config.steps,
         blue_rewards=tuple(blue_rewards),
     )

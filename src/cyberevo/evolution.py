@@ -230,7 +230,7 @@ def evaluate_team(
             total += result.blue_total
         else:
             result = run_episode(config, seed, adversary, team)
-            total += result.red_total
+            total -= result.blue_total
     return total / len(seeds)
 
 

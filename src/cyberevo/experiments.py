@@ -144,6 +144,11 @@ class RunSettings:
             raise ExperimentSpecError(f"{path}: unknown settings {sorted(unknown)}")
         if "experiment" not in raw:
             raise ExperimentSpecError(f"{path}: 'experiment' is required")
+        if not isinstance(raw["experiment"], str):
+            raise ExperimentSpecError(f"{path}: 'experiment' must be a string, got {raw['experiment']!r}")
+        for key in ("controllers_per_team", "variant"):
+            if raw.get(key) is not None and not isinstance(raw[key], str):
+                raise ExperimentSpecError(f"{path}: {key!r} must be a string or null, got {raw[key]!r}")
         for key in _SPEC_FILE_INTS & set(raw):
             if type(raw[key]) is not int:  # a bool is not a count
                 raise ExperimentSpecError(f"{path}: {key!r} must be an integer, got {raw[key]!r}")

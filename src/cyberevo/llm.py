@@ -195,8 +195,12 @@ class HttpClient:
         response.raise_for_status()
         body = response.json()
         text = body["choices"][0]["message"]["content"]
-        usage = body.get("usage", {})
-        tokens = usage.get("total_tokens")
+        tokens = body.get("usage", {}).get("total_tokens")
+        # A malformed reply fails here, as a transport failure would.
+        if not isinstance(text, str):
+            raise ValueError(f"reply content is {type(text).__name__}, not text")
+        if tokens is not None and type(tokens) is not int:  # a bool is not a count
+            raise ValueError(f"reply token count {tokens!r} is not an integer")
         return CompletionResult(
             text=text,
             tokens=tokens,

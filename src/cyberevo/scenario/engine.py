@@ -2,20 +2,22 @@
 
 One `ScenarioSim` owns the full network state and advances it one step
 at a time.  Controllers never touch the state directly: they receive an
-`Observation` plus an `AgentContext` and answer with an action name and
-a target heuristic.  Everything stochastic flows through the episode
-scenario stream, so identical seeds replay identical trajectories.
+`AgentContext` and answer with an action name and a target heuristic.
+Everything stochastic flows through the episode scenario stream, so
+identical seeds replay identical trajectories.
 
-Observations are built once per step, inside `step`.  The decision
-context computes nothing up front: a matrix controller's classifier asks
-it for counters, and the episode runner asks it for the candidate
-targets of the one action chosen, so a rule controller, which reads only
-its observation, never pays for counters.
+The decision context computes nothing up front.  A rule controller asks
+it for the agent's observation, a matrix controller's classifier asks it
+for counters, and the episode runner asks it for the candidate targets
+of the one action chosen, so each decision pays only for what its
+controller reads.  The one part of an observation shared by every blue
+agent is counted once, at set-up and at the end of each `step`.
 
 Step order is fixed for determinism: submissions are enqueued, blue
 agents before red ones, pending actions tick down, blue completions
 apply before red completions, the red team's automatic spawns roll,
-green users act, rewards are scored and observations are rebuilt.
+green users act, rewards are scored and blue's shared counts are
+recomputed.
 
 The green users' draws are part of the seed contract.  The service
 table lists one entry per service the network offers, in topology order,
@@ -196,12 +198,13 @@ class AgentContext:
     """One agent's decision context: a live view over the simulation state.
 
     Nothing is computed when the view is made, and nothing is kept.
-    `counters` gives the classifier's counters and `targets` the
-    candidate list of one action; each reads the state when it is
-    called, so one view answers for whichever step its agent is at.  The
-    episode runner makes one view per agent object and keeps it all
-    episode.  A returned list may be the agent's own: read it before the
-    next `step()`, which may change it.
+    `observation` gives what a rule program reads, `counters` the
+    classifier's counters and `targets` the candidate list of one
+    action; each reads the state when it is called, so one view answers
+    for whichever step its agent is at.  The episode runner makes one
+    view per agent object and keeps it all episode.  A returned list may
+    be the agent's own: read it before the next `step()`, which may
+    change it.
     """
 
     __slots__ = ("sim", "agent", "side")
@@ -210,6 +213,22 @@ class AgentContext:
         self.sim = sim
         self.agent = agent
         self.side = agent.side
+
+    def observation(self) -> Observation:
+        """The success flag and the five counts a rule program reads.
+
+        A red agent's counts are read from the agent; blue agents share
+        theirs, which the simulation counts at the end of each step.
+        """
+        agent = self.agent
+        if self.side == act.BLUE:
+            return Observation(agent.last_success, *self.sim._blue_counts)
+        # Sessions are always on known hosts, so they count directly.
+        roots = [*agent.sessions.values()].count(ROOT_LEVEL)
+        servers = len(self.sim._servers & agent.known_set)
+        return Observation(
+            agent.last_success, len(agent.known), len(agent.sessions), roots, servers, roots
+        )
 
     def counters(self) -> dict[str, int]:
         """The counters the state classifier reads for this agent."""
@@ -279,9 +298,7 @@ class AgentContext:
 @dataclass
 class StepResult:
     events: list[StepEvent]
-    observations: dict[str, Observation]
-    blue_reward: float
-    red_reward: float
+    blue_reward: float  # red's is its negation
 
 
 class ScenarioSim:
@@ -303,8 +320,8 @@ class ScenarioSim:
         self._analysed: set[HostRuntime] = set()
         self._zone_failures: dict[str, int] = {}
         self._last_applied_step = -1
-        self.cumulative_blue = 0.0
-        self.cumulative_red = 0.0
+        # The active agents in step order, rebuilt when red's roster changes.
+        self._agents: list[RedAgent | BlueAgent] | None = None
         hosts = self.topology.hosts
         self._greens = [(h, host.zone, self.hosts[h]) for h, host in hosts.items() if not host.server]
         self._service_table = [
@@ -317,6 +334,7 @@ class ScenarioSim:
         self._phishing_cut = word_cut(config.phishing_p)
         self._servers = frozenset(h for h, host in hosts.items() if host.server)
         self._spawn_initial_agents()
+        self._count_blue_observations()
 
     # ------------------------------------------------------------------
     # setup
@@ -336,16 +354,15 @@ class ScenarioSim:
 
     def _active_agents(self) -> list[RedAgent | BlueAgent]:
         """Blue agents, then active red agents in slot order: the step order."""
-        return [*self.blue_agents.values(), *(a for a in self.red_agents if a is not None)]
+        agents = self._agents
+        if agents is None:
+            agents = self._agents = [
+                *self.blue_agents.values(), *(a for a in self.red_agents if a is not None)
+            ]
+        return agents
 
     def idle_agents(self) -> list[RedAgent | BlueAgent]:
         return [agent for agent in self._active_agents() if agent.pending is None]
-
-    def idle_agent_names(self) -> list[str]:
-        return [agent.name for agent in self.idle_agents()]
-
-    def side_of(self, name: str) -> str:
-        return act.BLUE if name in self.blue_agents else act.RED
 
     def _agent(self, name: str):
         agent = self.blue_agents.get(name)
@@ -417,14 +434,12 @@ class ScenarioSim:
         self._run_greens(events)
 
         phase = phase_of(self.step_index, self.config.phase_boundaries, self.config.steps)
-        blue_reward, red_reward = reward_for(events, phase, _reward_table())
-        self.cumulative_blue += blue_reward
-        self.cumulative_red += red_reward
+        blue_reward = reward_for(events, phase, _reward_table())
 
         self._last_applied_step = self.step_index
         self.step_index += 1
-        observations = self._build_observations()
-        return StepResult(events, observations, blue_reward, red_reward)
+        self._count_blue_observations()
+        return StepResult(events, blue_reward)
 
     def _submit(self, agent: RedAgent | BlueAgent, submission: tuple[str, str | None]):
         action, target = submission
@@ -668,6 +683,7 @@ class ScenarioSim:
     def _spawn_red(self, slot: int, zone: str, entry_host: str):
         agent = RedAgent(f"red_{slot}", slot, zone, entry_host, anchor=False)
         self.red_agents[slot] = agent
+        self._agents = None
         self.hosts[entry_host].red_level = max(self.hosts[entry_host].red_level, USER_LEVEL)
 
     def _roll_phishing(self):
@@ -742,6 +758,7 @@ class ScenarioSim:
         for i, red in enumerate(self.red_agents):
             if red is not None and not red.anchor and not red.sessions:
                 self.red_agents[i] = None
+                self._agents = None
 
     def _record_detection(self, host_id: str, kind: str):
         self._detections.append((host_id, kind))
@@ -758,7 +775,8 @@ class ScenarioSim:
     # ------------------------------------------------------------------
     # observations and contexts
 
-    def _build_observations(self) -> dict[str, Observation]:
+    def _count_blue_observations(self):
+        """The counts every blue agent's observation shares (see `Observation`)."""
         last = self._last_applied_step
         scans = 0
         for host_id, kind in self._detections:
@@ -768,32 +786,7 @@ class ScenarioSim:
         for host in self._analysed:
             files_user += host.files_user_evidence
             files_root += host.files_root_evidence
-        n_servers = len(self._servers)
-        # Blue agents differ only in their success flag, so agents with
-        # equal flags share one record: at most three per step.
-        shared: dict[str, Observation] = {}
-        observations = {}
-        for name, agent in self.blue_agents.items():
-            success = agent.last_success
-            observation = shared.get(success)
-            if observation is None:
-                observation = shared[success] = Observation(
-                    success, scans, files_user, files_root, n_servers
-                )
-            observations[name] = observation
-        for red in self.red_agents:
-            if red is None:
-                continue
-            # Sessions are always on known hosts, so they count directly.
-            roots = [*red.sessions.values()].count(ROOT_LEVEL)
-            servers = len(self._servers & red.known_set)
-            observations[red.name] = Observation(
-                red.last_success, len(red.known), len(red.sessions), roots, servers, roots
-            )
-        return observations
-
-    def initial_observations(self) -> dict[str, Observation]:
-        return self._build_observations()
+        self._blue_counts = (scans, files_user, files_root, len(self._servers))
 
     def agent_context(self, name: str) -> AgentContext:
         """A live view of one agent's decision context (see `AgentContext`)."""

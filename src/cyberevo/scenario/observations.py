@@ -2,13 +2,13 @@
 
 An observation holds exactly what a rule program reads: the success flag
 of the agent's last completed action and the five counts named by the
-grammars' observation functions.  The engine computes each count once
-per step; a program's condition reads the field of the same name.
+grammars' observation functions.  A program's condition reads the field
+of the same name.  Only rule controllers read observations: one is built
+when a rule controller asks the agent's decision context for it
+(`AgentContext.observation`).
 
 An `Observation` is a named tuple: immutable, hashable and cheap to
-build, since the engine builds one per red agent per step, and one per
-distinct success flag for the blue agents, which share the rest.  Rule
-controllers key their decision memos on it.
+build.  Rule controllers key their decision memos on it.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ class Observation(NamedTuple):
     (``files_user``), its root sessions (``files_root`` and
     ``root_access_levels``) and its known servers (``n_servers``).
 
-    All blue agents share one view: scans detected this step in a
-    monitored zone (``connections``), the evidence Analyse found
-    (``files_user``, ``files_root``), the topology's server count
-    (``n_servers``, fixed for the episode, and above every grammar
-    constant) and a ``root_access_levels`` that is always 0.  The
-    baseline, TR, TN, TO and TC grammars offer only those last two, so
-    their blue programs can branch only on the success flag.
+    Blue agents differ only in their success flag; the engine counts
+    the rest once at set-up and at the end of each step: scans detected
+    that step in a monitored zone (``connections``), the evidence
+    Analyse found (``files_user``, ``files_root``), the topology's
+    server count (``n_servers``, fixed for the episode, and above every
+    grammar constant) and a ``root_access_levels`` that is always 0.
+    The baseline, TR, TN, TO and TC grammars offer only those last two,
+    so their blue programs can branch only on the success flag.
     """
 
     success: str = UNKNOWN

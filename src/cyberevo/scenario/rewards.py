@@ -89,9 +89,9 @@ class RewardTable:
         return cls(json.loads(text))
 
 
-def reward_for(events: list[StepEvent], phase: str, table: RewardTable) -> tuple[float, float]:
-    """Score one step's events.  Returns (blue_reward, red_reward)."""
+def reward_for(events: list[StepEvent], phase: str, table: RewardTable) -> float:
+    """Score one step's events: blue's reward, whose negation is red's."""
     blue = 0.0
     for event in events:
         blue += table.lookup(phase, event.zone, event.kind)
-    return blue, -blue
+    return blue

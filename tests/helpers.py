@@ -48,7 +48,7 @@ class FixedActionController:
         self.action = action
         self.heuristic = heuristic
 
-    def decide(self, observation, context, rng) -> tuple[str, str]:
+    def decide(self, context, rng) -> tuple[str, str]:
         return self.action, self.heuristic
 
 

@@ -28,6 +28,7 @@ from cyberevo.episodes import run_episode
 from cyberevo.evolution import (
     EvoConfig,
     RuleTeamDecoder,
+    evaluate_team,
     evolve_one_sided,
     make_decoder,
 )
@@ -288,7 +289,10 @@ def test_criterion_07_mutual_sleep_scores_exactly_zero(criterion):
             )
             assert result.steps == ScenarioConfig().steps
             assert result.blue_total == 0.0
-            assert result.red_total == 0.0
+            red_score = evaluate_team(
+                [SleepController("red")], [SleepController("blue")], "red", ScenarioConfig(), [seed]
+            )
+            assert red_score == 0.0
             assert all(value == 0.0 for value in result.blue_rewards)
 
 

@@ -54,12 +54,21 @@ def quiet_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**defaults)
 
 
+def idle_names(sim: ScenarioSim) -> list[str]:
+    return [agent.name for agent in sim.idle_agents()]
+
+
+def observe(sim: ScenarioSim, name: str):
+    """What ``name``'s rule program would read now."""
+    return sim.agent_context(name).observation()
+
+
 def sleep_step(sim: ScenarioSim):
-    return sim.step({name: ("Sleep", None) for name in sim.idle_agent_names()})
+    return sim.step({name: ("Sleep", None) for name in idle_names(sim)})
 
 
 def step_with(sim: ScenarioSim, overrides: dict):
-    submissions = {name: ("Sleep", None) for name in sim.idle_agent_names()}
+    submissions = {name: ("Sleep", None) for name in idle_names(sim)}
     submissions.update(overrides)
     return sim.step(submissions)
 
@@ -90,7 +99,7 @@ def test_initial_state():
     assert sim.hosts[red.entry_host].red_level == USER_LEVEL
     assert set(sim.blue_agents) == {name for name, _ in BLUE_AGENT_ZONES}
     assert len(agent_names(sim)) == 6
-    assert sim.idle_agent_names() == agent_names(sim)
+    assert idle_names(sim) == agent_names(sim)
     for name, zones in BLUE_AGENT_ZONES:
         agent = sim.blue_agents[name]
         assert sim.topology.hosts[agent.home_host].zone in zones
@@ -107,19 +116,17 @@ def test_same_seed_replays_identically():
         rb = sleep_step(b)
         assert ra.events == rb.events
         assert ra.blue_reward == rb.blue_reward
-        assert ra.observations == rb.observations
-    assert a.cumulative_blue == b.cumulative_blue
+        assert agent_names(a) == agent_names(b)
+        for name in agent_names(a):
+            assert observe(a, name) == observe(b, name)
 
 
-def test_rewards_are_zero_sum_each_step():
+def test_a_degraded_host_costs_blue_every_step():
     sim = ScenarioSim(quiet_config(), seed=2)
     victim = user_hosts(sim.topology)[0]
     sim.hosts[victim].degraded = True
     for _ in range(5):
-        result = sleep_step(sim)
-        assert result.red_reward == -result.blue_reward
-    assert sim.cumulative_red == -sim.cumulative_blue
-    assert sim.cumulative_blue < 0
+        assert sleep_step(sim).blue_reward < 0
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +212,9 @@ def test_episode_cannot_run_past_its_horizon():
 
 def test_unresolved_target_degrades_to_noop():
     sim = ScenarioSim(quiet_config(), seed=5)
-    step_with(sim, {"red_0": ("Impact", None)})
+    result = step_with(sim, {"red_0": ("Impact", None)})
     assert anchor(sim).last_success == FALSE
-    assert sim.cumulative_blue == 0.0
+    assert result.blue_reward == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +226,7 @@ def test_multi_step_actions_keep_agents_busy():
     red = anchor(sim)
     step_with(sim, {"red_0": ("StealthServiceDiscovery", red.entry_host)})
     assert red.pending is not None
-    assert "red_0" not in sim.idle_agent_names()
+    assert "red_0" not in idle_names(sim)
     with pytest.raises(SimulationFault):
         step_with(sim, {"red_0": ("Impact", red.entry_host)})
     step_with(sim, {"red_0": ("Sleep", None)})  # sleeping while busy is fine
@@ -409,21 +416,21 @@ def test_monitor_gates_scan_detections():
     sim = ScenarioSim(config, seed=19)
     step_with(sim, {"red_0": ("DiscoverRemoteSystems", target_zone)})
     target = sim.topology.hosts_by_zone[target_zone][0]
-    result = step_with(sim, {
+    step_with(sim, {
         "red_0": ("AggressiveServiceDiscovery", target),
         "blue_restricted_a": ("Monitor", None),
     })
     assert sim.hosts[target].flagged_step is not None
-    assert result.observations["blue_restricted_a"].connections == 1
+    assert observe(sim, "blue_restricted_a").connections == 1
     context = sim.agent_context("blue_restricted_a")
     assert context.counters()["zone_suspicious"] == 1
     assert context.counters()["flagged_suspicious"] == 1
 
     sim = ScenarioSim(config, seed=19)
     step_with(sim, {"red_0": ("DiscoverRemoteSystems", target_zone)})
-    result = step_with(sim, {"red_0": ("AggressiveServiceDiscovery", target)})
+    step_with(sim, {"red_0": ("AggressiveServiceDiscovery", target)})
     assert sim.hosts[target].flagged_step is None  # nobody was watching
-    assert result.observations["blue_restricted_a"].connections == 0
+    assert observe(sim, "blue_restricted_a").connections == 0
     assert sim.agent_context("blue_restricted_a").counters()["zone_suspicious"] == 0
 
 
@@ -432,14 +439,14 @@ def test_analyse_confirms_compromise_and_clean_hosts():
     zone_hosts = sim.topology.hosts_by_zone["restricted_zone_a"]
     victim = zone_hosts[0]
     plant_red(sim, 1, "restricted_zone_a", victim)
-    result = step_with(sim, {"blue_restricted_a": ("Analyse", victim)})
+    step_with(sim, {"blue_restricted_a": ("Analyse", victim)})
     runtime = sim.hosts[victim]
     assert runtime.files_user_evidence == 1
     assert runtime.files_root_evidence == 0
     assert runtime.confirmed_step is not None
     for name in sim.blue_agents:  # evidence is visible to the whole team
-        assert result.observations[name].files_user == 1
-        assert result.observations[name].files_root == 0
+        assert observe(sim, name).files_user == 1
+        assert observe(sim, name).files_root == 0
     context = sim.agent_context("blue_restricted_a")
     assert context.counters()["confirmed_compromised"] == 1
 
@@ -588,11 +595,13 @@ def test_degraded_user_host_fails_local_work_every_step():
 def test_red_sees_only_known_hosts():
     sim = ScenarioSim(quiet_config(), seed=29)
     red = anchor(sim)
-    obs = sleep_step(sim).observations["red_0"]
+    sleep_step(sim)
+    obs = observe(sim, "red_0")
     assert obs.connections == len(red.known) == 1
     assert obs.n_servers == int(sim.topology.hosts[red.entry_host].server)
     step_with(sim, {"red_0": ("DiscoverRemoteSystems", "contractor_uav")})
-    obs = sleep_step(sim).observations["red_0"]
+    sleep_step(sim)
+    obs = observe(sim, "red_0")
     assert obs.connections == len(red.known) > 1
     assert obs.n_servers == len(sim.topology.servers_in("contractor_uav"))
     assert obs.n_servers < sum(1 for h in sim.topology.hosts.values() if h.server)
@@ -603,22 +612,22 @@ def test_red_observation_reflects_scans_and_privilege():
     red = anchor(sim)
     entry = red.entry_host
     step_with(sim, {"red_0": ("AggressiveServiceDiscovery", entry)})
-    obs = sim._build_observations()["red_0"]
+    obs = observe(sim, "red_0")
     assert red.last_success == TRUE
     assert (obs.connections, obs.files_user) == (1, 1)
     assert (obs.files_root, obs.root_access_levels) == (0, 0)
     red.sessions[entry] = ROOT_LEVEL
-    obs = sim._build_observations()["red_0"]
+    obs = observe(sim, "red_0")  # read when asked, so it sees the new root
     assert (obs.connections, obs.files_user) == (1, 1)
     assert (obs.files_root, obs.root_access_levels) == (1, 1)
 
 
 def test_blue_observation_covers_every_host():
     sim = ScenarioSim(quiet_config(), seed=31)
-    observations = sleep_step(sim).observations
+    sleep_step(sim)
     n_servers = sum(1 for h in sim.topology.hosts.values() if h.server)
     for name in sim.blue_agents:
-        obs = observations[name]
+        obs = observe(sim, name)
         assert obs.n_servers == n_servers
         assert (obs.connections, obs.files_user, obs.files_root) == (0, 0, 0)
         assert obs.root_access_levels == 0
@@ -668,6 +677,5 @@ def test_blue_context_orders_flagged_hosts_by_first_flag():
 
 def test_success_flag_starts_unknown():
     sim = ScenarioSim(quiet_config(), seed=35)
-    observations = sim.initial_observations()
-    assert observations["red_0"].success == UNKNOWN
-    assert observations["blue_hq"].success == UNKNOWN
+    assert observe(sim, "red_0").success == UNKNOWN
+    assert observe(sim, "blue_hq").success == UNKNOWN

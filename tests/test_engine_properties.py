@@ -4,7 +4,7 @@ Hypothesis draws an episode seed and the scenario's event
 probabilities; both teams pick uniformly among their legal actions and
 target heuristics.  Before every step each idle agent's candidate
 targets must match the state they are drawn from; after every step the
-network state, the observations and the rewards must agree with each
+network state and every active agent's observation must agree with each
 other.
 """
 
@@ -40,7 +40,7 @@ class RandomLegalController:
     def __init__(self, side: str):
         self.actions = BLUE_ACTIONS if side == "blue" else RED_ACTIONS
 
-    def decide(self, observation, context, rng):
+    def decide(self, context, rng):
         action = self.actions[int(rng.integers(len(self.actions)))]
         heuristic = TARGET_HEURISTICS[int(rng.integers(len(TARGET_HEURISTICS)))]
         return action, heuristic
@@ -49,28 +49,24 @@ class RandomLegalController:
 def play(sim: ScenarioSim, blue_team, red_team, seed: int, check) -> None:
     """Run ``sim`` to its end, calling ``check(sim, result)`` after each step."""
     rng = spawn_generator(seed, STREAM_CONTROLLER)
-    observations = sim.initial_observations()
+    teams = {"blue": blue_team, "red": red_team}
     for _ in range(sim.config.steps):
         submissions = {}
-        for name in sim.idle_agent_names():
-            team = blue_team if sim.side_of(name) == "blue" else red_team
-            context = sim.agent_context(name)
-            check_targets(sim, name, context)
-            action, heuristic = controller_for(team, context.agent).decide(
-                observations[name], context, rng
-            )
-            submissions[name] = (
+        for agent in sim.idle_agents():
+            context = sim.agent_context(agent.name)
+            check_targets(sim, agent.name, context)
+            action, heuristic = controller_for(teams[agent.side], agent).decide(context, rng)
+            submissions[agent.name] = (
                 action, resolve_heuristic_target(action, heuristic, context, rng)
             )
         result = sim.step(submissions)
         check(sim, result)
-        observations = result.observations
 
 
 def expected_targets(sim: ScenarioSim, name: str, action: str) -> list[str]:
     """The candidate list of ``action``, recomputed from the raw state."""
     zone_action = TARGET_KINDS[action] == TARGET_ZONE
-    if sim.side_of(name) == "blue":
+    if name in sim.blue_agents:
         agent = sim.blue_agents[name]
         if zone_action:
             return [z for z in ZONES if z not in agent.zones]
@@ -97,7 +93,7 @@ def expected_targets(sim: ScenarioSim, name: str, action: str) -> list[str]:
 
 
 def check_targets(sim: ScenarioSim, name: str, context) -> None:
-    actions = BLUE_ACTIONS if sim.side_of(name) == "blue" else RED_ACTIONS
+    actions = BLUE_ACTIONS if name in sim.blue_agents else RED_ACTIONS
     for action in actions:
         if TARGET_KINDS[action] != TARGET_NONE:
             assert context.targets(action) == expected_targets(sim, name, action), (
@@ -105,8 +101,13 @@ def check_targets(sim: ScenarioSim, name: str, context) -> None:
             )
 
 
+def observe(sim: ScenarioSim, name: str):
+    return sim.agent_context(name).observation()
+
+
 def check_invariants(sim: ScenarioSim, result) -> None:
     active = [red for red in sim.red_agents if red is not None]
+    servers = {host_id for host_id, host in sim.topology.hosts.items() if host.server}
     levels = {host_id: NO_COMPROMISE for host_id in sim.hosts}
     for red in active:
         assert set(red.known) == red.known_set
@@ -115,28 +116,30 @@ def check_invariants(sim: ScenarioSim, result) -> None:
         for host_id, level in red.sessions.items():
             levels[host_id] = max(levels[host_id], level)
         roots = sum(1 for level in red.sessions.values() if level == ROOT_LEVEL)
-        obs = result.observations[red.name]
+        obs = observe(sim, red.name)
+        assert obs.success == red.last_success
         assert obs.connections == len(red.known)
         assert obs.files_user == len(red.sessions)
         assert obs.files_root == obs.root_access_levels == roots
+        assert obs.n_servers == len(servers & red.known_set)
     for host_id, runtime in sim.hosts.items():
         assert runtime.red_level == levels[host_id], host_id
     evidence = (
         sum(runtime.files_user_evidence for runtime in sim.hosts.values()),
         sum(runtime.files_root_evidence for runtime in sim.hosts.values()),
     )
-    for name in sim.blue_agents:
-        obs = result.observations[name]
+    for name, agent in sim.blue_agents.items():
+        obs = observe(sim, name)
+        assert obs.success == agent.last_success, name
         assert (obs.files_user, obs.files_root) == evidence, name
-    assert set(result.observations) == set(agent_names(sim))
+        assert (obs.n_servers, obs.root_access_levels) == (len(servers), 0), name
+    assert agent_names(sim) == [agent.name for agent in sim._active_agents()]
 
     restoring = {
         agent.pending[1] for agent in sim.blue_agents.values()
         if agent.pending is not None and agent.pending[0] == "Restore"
     }
     assert {h for h, runtime in sim.hosts.items() if runtime.restoring} == restoring
-
-    assert result.red_reward == -result.blue_reward
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -181,7 +184,7 @@ def test_blue_counts_that_baseline_programs_read_never_change():
 
     def record(sim, result):
         for name in sim.blue_agents:
-            obs = result.observations[name]
+            obs = observe(sim, name)
             seen.append((obs.n_servers, obs.root_access_levels))
 
     config = ScenarioConfig()
@@ -219,20 +222,18 @@ def test_a_kept_context_answers_as_a_fresh_one(seed, fsm, phishing_p):
         teams = {"blue": [RandomLegalController("blue")], "red": [RandomLegalController("red")]}
     rng = spawn_generator(seed, STREAM_CONTROLLER)
     kept = {}
-    observations = sim.initial_observations()
     for _ in range(config.steps):
         submissions = {}
         for agent in sim.idle_agents():
             fresh = sim.agent_context(agent.name)
             context = kept.setdefault(agent, fresh)
+            assert context.observation() == fresh.observation(), agent.name
             assert context.counters() == fresh.counters(), agent.name
             for action in RED_ACTIONS if agent.side == "red" else BLUE_ACTIONS:
                 if TARGET_KINDS[action] != TARGET_NONE:
                     assert context.targets(action) == fresh.targets(action), (agent.name, action)
-            action, heuristic = controller_for(teams[agent.side], agent).decide(
-                observations[agent.name], context, rng
-            )
+            action, heuristic = controller_for(teams[agent.side], agent).decide(context, rng)
             submissions[agent.name] = (
                 action, resolve_heuristic_target(action, heuristic, context, rng)
             )
-        observations = sim.step(submissions).observations
+        sim.step(submissions)

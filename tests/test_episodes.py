@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from cyberevo.controllers.base import (
 )
 from cyberevo.controllers.fsm import load_fsm_adversary
 from cyberevo.episodes import controller_for, resolve_heuristic_target, run_episode
+from cyberevo.evolution import evaluate_team
 from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.controllers.rules import RuleController
 from cyberevo.grammar.ast import ActionAssign, Condition, IfStatement, ObsTest, RuleAst
@@ -80,7 +83,7 @@ class RecordingController:
     def __init__(self):
         self.agents = set()
 
-    def decide(self, observation, context, rng):
+    def decide(self, context, rng):
         self.agents.add((context.agent.name, context.agent.slot))
         return "Sleep", RANDOM_TARGET
 
@@ -170,7 +173,6 @@ def test_sleep_vs_sleep_scores_zero():
     blue, red = sleep_teams()
     result = run_episode(CONFIG, seed=7, blue_team=blue, red_team=red)
     assert result.blue_total == 0.0
-    assert result.red_total == 0.0
     assert result.steps == CONFIG.steps
     assert result.blue_rewards == (0.0,) * CONFIG.steps
 
@@ -189,7 +191,7 @@ def test_rewards_are_zero_sum_and_red_preys_on_sleep():
     adversary = [load_fsm_adversary("red")]
     blue = [SleepController("blue")]
     result = run_episode(CONFIG, seed=13, blue_team=blue, red_team=adversary)
-    assert result.blue_total == -result.red_total
+    assert evaluate_team(adversary, blue, "red", CONFIG, [13]) == -result.blue_total
     assert result.blue_total < 0.0  # an unopposed attacker does real damage
 
 
@@ -202,7 +204,47 @@ def test_full_default_scenario_runs_both_fsm_teams():
         red_team=[load_fsm_adversary("red")],
     )
     assert result.steps == 75
-    assert result.blue_total == -result.red_total
+    assert result.blue_total < 0.0
+
+
+def test_red_scores_a_scoreless_episode_as_positive_zero():
+    # Negating the summed blue rewards would give -0.0, which the trace
+    # CSV writes as "-0.0".
+    blue, red = sleep_teams()
+    score = evaluate_team(red, blue, "red", CONFIG, [7, 8])
+    assert score == 0.0 and math.copysign(1.0, score) == 1.0
+
+
+def test_only_rule_controllers_ask_for_observations(monkeypatch):
+    asked = []
+    observation = AgentContext.observation
+
+    def spy(context):
+        asked.append(context.agent.name)
+        return observation(context)
+
+    monkeypatch.setattr(AgentContext, "observation", spy)
+    fsm_blue, fsm_red = [load_fsm_adversary("blue")], [load_fsm_adversary("red")]
+    result = run_episode(ScenarioConfig(), seed=3, blue_team=fsm_blue, red_team=fsm_red)
+    assert result.blue_total < 0.0  # both sides acted
+    assert asked == []
+
+    idle_blue = []
+    idle_agents = ScenarioSim.idle_agents
+
+    def tally(sim):
+        agents = idle_agents(sim)
+        idle_blue.extend(agent.name for agent in agents if agent.side == "blue")
+        return agents
+
+    monkeypatch.setattr(ScenarioSim, "idle_agents", tally)
+    program = RuleController(RuleAst(action_statements=(
+        ActionAssign("Monitor"),
+        IfStatement(Condition("single", ObsTest("files_user", ">", 0)), ActionAssign("Remove")),
+    )), "blue")
+    run_episode(ScenarioConfig(), seed=3, blue_team=[program], red_team=fsm_red)
+    assert asked == idle_blue  # one observation per idle blue decision, in order
+    assert len(asked) > ScenarioConfig().steps
 
 
 def test_rule_controllers_never_compute_classifier_counters(monkeypatch):
@@ -220,4 +262,3 @@ def test_rule_controllers_never_compute_classifier_counters(monkeypatch):
     blue = RuleController(RuleAst(action_statements=(ActionAssign("Analyse"),)), "blue")
     result = run_episode(CONFIG, seed=17, blue_team=[blue], red_team=[red])
     assert result.steps == CONFIG.steps
-    assert result.blue_total == -result.red_total

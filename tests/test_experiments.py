@@ -401,6 +401,26 @@ def test_cli_reports_rejected_settings_without_a_traceback(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [spec]
 
 
+@pytest.mark.parametrize("settings", [
+    {"experiment": ["GE-B"]},
+    {"experiment": None},
+    {"experiment": 7},
+    {"experiment": "GE-B", "controllers_per_team": 1},
+    {"experiment": "GE-B", "controllers_per_team": ["one"]},
+    {"experiment": "GE-B", "variant": ["tc"]},
+    {"experiment": "GE-B", "variant": False},
+], ids=str)
+def test_a_setting_of_the_wrong_type_is_rejected_without_a_traceback(settings, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(settings))
+    with pytest.raises(ExperimentSpecError, match="must be a string"):
+        RunSettings.from_file(str(spec))
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_a_rejected_spec_leaves_no_output_directory(tmp_path):
     out = tmp_path / "never-made"
     spec = dataclasses.replace(get_experiment("GE-LLM-C"), controllers_per_team="many")

@@ -22,6 +22,7 @@ from cyberevo.llm import (
     CompletionResult,
     EchoClient,
     ExpandingMockClient,
+    HttpClient,
     LlmStats,
     ScriptedClient,
     build_prompt,
@@ -172,6 +173,60 @@ def test_transport_error_counts_separately():
     assert not outcome.ok
     assert (stats.calls, stats.transport_failures, stats.parse_failures) == (1, 1, 0)
     assert "socket closed" in outcome.error
+
+
+class FakeReply:
+    """A ``requests`` response whose JSON body is ``body``."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.body
+
+
+@pytest.mark.parametrize("message, usage", [
+    ({"content": None}, {"total_tokens": 12}),
+    ({"content": ["Monitor"]}, {}),
+    ({"content": f"```python\n{MONITOR_TEXT}\n```"}, {"total_tokens": "many"}),
+    ({"content": f"```python\n{MONITOR_TEXT}\n```"}, {"total_tokens": 1.5}),
+    ({"content": f"```python\n{MONITOR_TEXT}\n```"}, {"total_tokens": True}),
+], ids=str)
+def test_a_malformed_http_reply_counts_as_a_transport_failure(monkeypatch, message, usage):
+    import requests
+
+    body = {"choices": [{"message": message}], "usage": usage}
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: FakeReply(body))
+    client = HttpClient("http://localhost:1/v1", "m")
+    with pytest.raises(ValueError):
+        client.complete("prompt")
+    stats = LlmStats()
+    outcome = llm_mutate(client, MONITOR_TEXT, GRAMMAR, stats)
+    assert not outcome.ok and outcome.error
+    assert (stats.calls, stats.transport_failures, stats.parse_failures) == (1, 1, 0)
+    assert stats.tokens_total == 0
+
+
+def test_a_well_formed_http_reply_is_read(monkeypatch):
+    import requests
+
+    sent = {}
+
+    def post(url, json, headers, timeout):
+        sent.update(url=url, json=json, headers=headers, timeout=timeout)
+        reply = f"```python\n{MONITOR_TEXT}\n```"
+        return FakeReply({"choices": [{"message": {"content": reply}}], "usage": {"total_tokens": 40}})
+
+    monkeypatch.setattr(requests, "post", post)
+    stats = LlmStats()
+    client = HttpClient("http://localhost:1/v1", "m", api_key="k", timeout=2.0)
+    assert llm_mutate(client, MONITOR_TEXT, GRAMMAR, stats).ok
+    assert (stats.successes, stats.tokens_total) == (1, 40)
+    assert sent["headers"]["Authorization"] == "Bearer k"
+    assert (sent["url"], sent["json"]["model"], sent["timeout"]) == ("http://localhost:1/v1", "m", 2.0)
 
 
 def test_validity_accounting_conserves_calls():

@@ -169,7 +169,7 @@ def test_decide_classifies_then_samples():
         def counters(self):
             return {"confirmed_compromised": 2}
 
-    action, heuristic = controller.decide(None, FakeContext(), np.random.default_rng(1))
+    action, heuristic = controller.decide(FakeContext(), np.random.default_rng(1))
     assert action == BLUE_MATRIX_ACTIONS[-1]
     assert heuristic == "random_target"
 

@@ -152,10 +152,8 @@ def test_reward_for_matches_recount_oracle():
             + 2 * expected_value(phase, "Contractor Network", ACCESS_SERVICE_FAILS)
             + 5 * expected_value(phase, "Internet", LOCAL_WORK_FAILS)
         )
-        blue, red = reward_for(events, phase, table)
-        assert blue == expected
-        assert red == -blue  # zero-sum by construction
+        assert reward_for(events, phase, table) == expected
 
 
 def test_reward_for_empty_events_is_zero():
-    assert reward_for([], PHASE1, RewardTable.default()) == (0.0, -0.0)
+    assert reward_for([], PHASE1, RewardTable.default()) == 0.0

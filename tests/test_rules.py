@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,11 @@ def obs(success=TRUE, **counts) -> Observation:
     return Observation(success=success, **counts)
 
 
+def seeing(observation: Observation) -> SimpleNamespace:
+    """A decision context that gives ``observation``."""
+    return SimpleNamespace(observation=lambda: observation)
+
+
 def single(op) -> Condition:
     return Condition("single", op)
 
@@ -55,8 +62,8 @@ def test_each_observation_function_reads_its_field():
         )
         controller = RuleController(ast, "red")
         others = {other: 1 for other in OBSERVATION_FUNCTIONS if other != name}
-        assert controller.decide(obs(**others, **{name: 2}), None, RNG)[0] == "Impact"
-        assert controller.decide(obs(**others, **{name: 1}), None, RNG)[0] == "Sleep"
+        assert controller.decide(seeing(obs(**others, **{name: 2})), RNG)[0] == "Impact"
+        assert controller.decide(seeing(obs(**others, **{name: 1})), RNG)[0] == "Sleep"
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +77,7 @@ def test_defaults_apply_when_nothing_fires():
         )
     )
     controller = RuleController(ast, "red")
-    action, heuristic = controller.decide(obs(n_servers=1), None, RNG)
+    action, heuristic = controller.decide(seeing(obs(n_servers=1)), RNG)
     assert action == "Sleep"
     assert heuristic == RANDOM_TARGET
 
@@ -84,8 +91,8 @@ def test_last_executed_assignment_wins():
         )
     )
     controller = RuleController(ast, "blue")
-    assert controller.decide(obs(success=TRUE), None, RNG)[0] == "Analyse"
-    assert controller.decide(obs(success=FALSE), None, RNG)[0] == "Restore"
+    assert controller.decide(seeing(obs(success=TRUE)), RNG)[0] == "Analyse"
+    assert controller.decide(seeing(obs(success=FALSE)), RNG)[0] == "Restore"
 
 
 def test_comparison_operators():
@@ -104,7 +111,7 @@ def test_comparison_operators():
             )
         )
         controller = RuleController(ast, "red")
-        got = controller.decide(observation, None, RNG)[0]
+        got = controller.decide(seeing(observation), RNG)[0]
         assert (got == "Impact") == fires, (op, value)
 
 
@@ -128,9 +135,9 @@ def test_and_or_connectives():
         (obs(success=FALSE, n_servers=0), False, False),
     ]
     for observation, and_fires, or_fires in cases:
-        assert (RuleController(both, "red").decide(observation, None, RNG)[0]
+        assert (RuleController(both, "red").decide(seeing(observation), RNG)[0]
                 == ("Impact" if and_fires else "Sleep"))
-        assert (RuleController(either, "red").decide(observation, None, RNG)[0]
+        assert (RuleController(either, "red").decide(seeing(observation), RNG)[0]
                 == ("Impact" if or_fires else "Sleep"))
 
 
@@ -146,9 +153,9 @@ def test_nested_ifs_require_every_condition():
         )
     )
     controller = RuleController(ast, "red")
-    assert controller.decide(obs(success=TRUE, n_servers=1), None, RNG)[0] == "Impact"
-    assert controller.decide(obs(success=TRUE, n_servers=0), None, RNG)[0] == "Sleep"
-    assert controller.decide(obs(success=FALSE, n_servers=1), None, RNG)[0] == "Sleep"
+    assert controller.decide(seeing(obs(success=TRUE, n_servers=1)), RNG)[0] == "Impact"
+    assert controller.decide(seeing(obs(success=TRUE, n_servers=0)), RNG)[0] == "Sleep"
+    assert controller.decide(seeing(obs(success=FALSE, n_servers=1)), RNG)[0] == "Sleep"
 
 
 def test_target_section_can_pick_heuristics_conditionally():
@@ -160,8 +167,8 @@ def test_target_section_can_pick_heuristics_conditionally():
         ),
     )
     controller = RuleController(ast, "red")
-    assert controller.decide(obs(success=TRUE), None, RNG) == ("Impact", FIRST_TARGET)
-    assert controller.decide(obs(success=FALSE), None, RNG) == ("Impact", LAST_TARGET)
+    assert controller.decide(seeing(obs(success=TRUE)), RNG) == ("Impact", FIRST_TARGET)
+    assert controller.decide(seeing(obs(success=FALSE)), RNG) == ("Impact", LAST_TARGET)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +205,12 @@ def test_memoized_decisions_equal_a_fresh_walk(sequence):
     controller = RuleController(BRANCHY, "red")
     for observation in sequence:
         # A new controller has an empty memo, so it walks the program.
-        assert controller.decide(observation, None, RNG) == RuleController(BRANCHY, "red").decide(
-            observation, None, RNG
-        ), observation
+        assert controller.decide(seeing(observation), RNG) == RuleController(
+            BRANCHY, "red"
+        ).decide(seeing(observation), RNG), observation
     for observation in sequence:
-        first = controller.decide(observation, None, RNG)
-        assert controller.decide(observation, None, RNG) is first
+        first = controller.decide(seeing(observation), RNG)
+        assert controller.decide(seeing(observation), RNG) is first
         assert controller._decisions[observation] is first
 
 
@@ -277,6 +284,6 @@ def test_resolve_target_heuristics():
 
 def test_sleep_and_fixed_controllers():
     rng = np.random.default_rng(2)
-    assert SleepController("red").decide(None, None, rng) == ("Sleep", RANDOM_TARGET)
+    assert SleepController("red").decide(None, rng) == ("Sleep", RANDOM_TARGET)
     fixed = FixedActionController("blue", "Monitor", FIRST_TARGET)
-    assert fixed.decide(None, None, rng) == ("Monitor", FIRST_TARGET)
+    assert fixed.decide(None, rng) == ("Monitor", FIRST_TARGET)
