@@ -199,8 +199,8 @@ class HttpClient:
         # A malformed reply fails here, as a transport failure would.
         if not isinstance(text, str):
             raise ValueError(f"reply content is {type(text).__name__}, not text")
-        if tokens is not None and type(tokens) is not int:  # a bool is not a count
-            raise ValueError(f"reply token count {tokens!r} is not an integer")
+        if tokens is not None and (type(tokens) is not int or tokens < 0):  # a bool is not a count
+            raise ValueError(f"reply token count {tokens!r} is not a count")
         return CompletionResult(
             text=text,
             tokens=tokens,

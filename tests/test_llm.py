@@ -194,6 +194,7 @@ class FakeReply:
     ({"content": f"```python\n{MONITOR_TEXT}\n```"}, {"total_tokens": "many"}),
     ({"content": f"```python\n{MONITOR_TEXT}\n```"}, {"total_tokens": 1.5}),
     ({"content": f"```python\n{MONITOR_TEXT}\n```"}, {"total_tokens": True}),
+    ({"content": f"```python\n{MONITOR_TEXT}\n```"}, {"total_tokens": -500}),
 ], ids=str)
 def test_a_malformed_http_reply_counts_as_a_transport_failure(monkeypatch, message, usage):
     import requests
