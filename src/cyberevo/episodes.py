@@ -49,7 +49,6 @@ class EpisodeResult:
     """Blue's total and per-step rewards for one episode; red's are their negations."""
 
     blue_total: float
-    steps: int
     blue_rewards: tuple[float, ...]
 
 
@@ -84,6 +83,5 @@ def run_episode(
         blue_rewards.append(sim.step(submissions).blue_reward)
     return EpisodeResult(
         blue_total=float(sum(blue_rewards)),
-        steps=config.steps,
         blue_rewards=tuple(blue_rewards),
     )

@@ -33,7 +33,7 @@ from .controllers.matrix import decode_matrix_team, team_genome_length
 from .controllers.rules import RuleController
 from .episodes import Team, run_episode
 from .errors import ControllerError, SimulationFault
-from .grammar.mapping import map_genome
+from .grammar.mapping import build_ast, map_genome
 from .grammar.program import render_program
 from .grammar.variants import Variant, load_grammar
 from .llm import LlmStats, llm_mutate
@@ -43,41 +43,40 @@ from .seeds import STREAM_EPISODE, STREAM_VARIATION, derive_seed, spawn_generato
 from .traces import FitnessTrace
 
 INVALID_PENALTY = 1000.0
+# The variation settings of the experiment setup.  Each generation keeps
+# `ELITE_COUNT` elites and breeds the rest from `TOURNAMENT_SIZE`-way
+# tournaments; a pair of parents crosses with `CROSSOVER_P`, each gene
+# mutates with `MUTATION_P` (continuous genes by Gaussian noise of
+# standard deviation `ES_SIGMA`), and an invalid decode is redrawn up to
+# `INVALID_RETRY_CAP` times.
+ELITE_COUNT = 1
+TOURNAMENT_SIZE = 2
+CROSSOVER_P = 0.5
+MUTATION_P = 0.5
+ES_SIGMA = 0.1
+INVALID_RETRY_CAP = 100
 CODON_MAX = 255
 GE_GENOME_LENGTH = 1000
 
 
 @dataclass
 class EvoConfig:
-    """Knobs of the evolutionary loop (defaults follow the experiment setup)."""
+    """The run's size: what a settings file or the command line can set
+    (defaults follow the experiment setup).  The variation settings are
+    the module constants above."""
 
     population_size: int = 10
     iterations: int = 20
     trials: int = 6
-    elite_count: int = 1
-    tournament_size: int = 2
-    crossover_p: float = 0.5
-    mutation_p: float = 0.5
-    es_sigma: float = 0.1
     repetitions: int = 2
-    invalid_retry_cap: int = 100
     controllers_per_team: str = "one"
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
-        for name in ("iterations", "trials", "repetitions", "tournament_size"):
+        for name in ("iterations", "trials", "repetitions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.elite_count < 0 or self.elite_count >= self.population_size:
-            raise ValueError("elite_count must be in [0, population_size)")
-        for name in ("crossover_p", "mutation_p"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.es_sigma < 0:
-            raise ValueError("es_sigma must be non-negative")
-        if self.invalid_retry_cap < 0:
-            raise ValueError("invalid_retry_cap must be non-negative")
         try:
             team_size("red", self.controllers_per_team)
         except ControllerError as exc:
@@ -116,13 +115,11 @@ class MatrixTeamDecoder:
         team = decode_matrix_team(genome, self.side, self.mode, self.encoding)
         return Individual(genome, team, True)
 
-    def mutate(
-        self, genome: np.ndarray, rng: np.random.Generator, config: EvoConfig
-    ) -> np.ndarray:
-        mask = rng.random(genome.shape[0]) < config.mutation_p
+    def mutate(self, genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        mask = rng.random(genome.shape[0]) < MUTATION_P
         child = genome.copy()
         if self.encoding == "continuous":
-            noise = rng.normal(0.0, config.es_sigma, size=genome.shape[0])
+            noise = rng.normal(0.0, ES_SIGMA, size=genome.shape[0])
             child[mask] = np.clip(child[mask] + noise[mask], 0.0, 1.0)
         else:
             child[mask] = rng.integers(0, 4, size=int(mask.sum()))
@@ -148,17 +145,15 @@ class RuleTeamDecoder:
         programs = []
         for c in range(self.controllers):
             chunk = genome[c * GE_GENOME_LENGTH:(c + 1) * GE_GENOME_LENGTH]
-            result = map_genome(chunk, self.grammar)
-            if result.invalid:
+            tree = map_genome(chunk, self.grammar)
+            if tree is None:
                 return Individual(genome, None, False)
-            controllers.append(RuleController(result.ast, self.side))
-            programs.append(render_program(result.tree))
+            controllers.append(RuleController(build_ast(tree, self.grammar), self.side))
+            programs.append(render_program(tree))
         return Individual(genome, controllers, True, program="\n".join(programs))
 
-    def mutate(
-        self, genome: np.ndarray, rng: np.random.Generator, config: EvoConfig
-    ) -> np.ndarray:
-        mask = rng.random(genome.shape[0]) < config.mutation_p
+    def mutate(self, genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        mask = rng.random(genome.shape[0]) < MUTATION_P
         child = genome.copy()
         child[mask] = rng.integers(0, CODON_MAX + 1, size=int(mask.sum()))
         return child
@@ -181,11 +176,12 @@ def make_decoder(
 
 
 def tournament_select(
-    population: Sequence[Individual], rng: np.random.Generator, k: int = 2
+    population: Sequence[Individual], rng: np.random.Generator
 ) -> Individual:
-    """k-way tournament with replacement; ties keep the earliest draw."""
+    """`TOURNAMENT_SIZE`-way tournament with replacement; ties keep the
+    earliest draw."""
     best: Optional[Individual] = None
-    for _ in range(k):
+    for _ in range(TOURNAMENT_SIZE):
         candidate = population[int(rng.integers(len(population)))]
         if best is None or candidate.fitness > best.fitness:
             best = candidate
@@ -204,11 +200,10 @@ def one_point_crossover(
     return child_a, child_b
 
 
-def fresh_individual(
-    decoder, rng: np.random.Generator, retry_cap: int
-) -> Individual:
-    """Random individual, retrying invalid grammar decodes up to the cap."""
-    for _ in range(1 + max(retry_cap, 0)):
+def fresh_individual(decoder, rng: np.random.Generator) -> Individual:
+    """Random individual, retrying invalid grammar decodes up to
+    `INVALID_RETRY_CAP` times."""
+    for _ in range(1 + INVALID_RETRY_CAP):
         individual = decoder.decode(decoder.random_genome(rng))
         if individual.valid:
             break
@@ -261,17 +256,16 @@ def _make_children(
     population: list[Individual],
     decoder,
     rng: np.random.Generator,
-    evo: EvoConfig,
     needed: int,
     llm_client,
     llm_stats,
 ) -> list[Individual]:
     children: list[Individual] = []
     while len(children) < needed:
-        parent_a = tournament_select(population, rng, evo.tournament_size)
-        parent_b = tournament_select(population, rng, evo.tournament_size)
+        parent_a = tournament_select(population, rng)
+        parent_b = tournament_select(population, rng)
         detached = parent_a.detached or parent_b.detached
-        crossed = not detached and rng.random() < evo.crossover_p
+        crossed = not detached and rng.random() < CROSSOVER_P
         if crossed:
             genomes = one_point_crossover(parent_a.genome, parent_b.genome, rng)
         else:
@@ -281,12 +275,12 @@ def _make_children(
                 break
             if llm_client is not None:
                 child = _llm_child(
-                    parent, genome, crossed, decoder, llm_client, llm_stats, rng, evo
+                    parent, genome, crossed, decoder, llm_client, llm_stats, rng
                 )
             else:
-                child = decoder.decode(decoder.mutate(genome, rng, evo))
+                child = decoder.decode(decoder.mutate(genome, rng))
                 if not child.valid:
-                    child = fresh_individual(decoder, rng, evo.invalid_retry_cap)
+                    child = fresh_individual(decoder, rng)
             children.append(child)
     return children
 
@@ -299,7 +293,6 @@ def _llm_child(
     client,
     stats,
     rng: np.random.Generator,
-    evo: EvoConfig,
 ) -> Individual:
     """Mutate by editing the parent's program text through the client.
 
@@ -312,14 +305,14 @@ def _llm_child(
     else:
         decoded = decoder.decode(genome)
         if not decoded.valid:
-            return fresh_individual(decoder, rng, evo.invalid_retry_cap)
+            return fresh_individual(decoder, rng)
         program = decoded.program
     mutation = llm_mutate(client, program, decoder.grammar, stats)
     if not mutation.ok:
         # Failed mutations are replaced the same way invalid decodes are:
         # by a fresh random individual, so a failing backend cannot stall
         # the run.
-        return fresh_individual(decoder, rng, evo.invalid_retry_cap)
+        return fresh_individual(decoder, rng)
     return Individual(
         genome=genome,
         team=[RuleController(mutation.ast, decoder.side)],
@@ -359,10 +352,7 @@ def _generational_loop(
             for side, key in zip(decoders, side_keys)
         }
         populations = {
-            side: [
-                fresh_individual(decoder, rngs[side], evo.invalid_retry_cap)
-                for _ in range(evo.population_size)
-            ]
+            side: [fresh_individual(decoder, rngs[side]) for _ in range(evo.population_size)]
             for side, decoder in decoders.items()
         }
         for iteration in range(evo.iterations):
@@ -379,9 +369,9 @@ def _generational_loop(
             for side, population in populations.items():
                 elites = sorted(
                     population, key=lambda ind: ind.fitness, reverse=True
-                )[: evo.elite_count]
+                )[:ELITE_COUNT]
                 children = _make_children(
-                    population, decoders[side], rngs[side], evo,
+                    population, decoders[side], rngs[side],
                     evo.population_size - len(elites), llm_client, llm_stats,
                 )
                 populations[side] = elites + children

@@ -115,6 +115,13 @@ _SPEC_FILE_INTS = {
 _SPEC_FILE_KEYS = _SPEC_FILE_INTS | {"experiment", "controllers_per_team", "variant", "llm"}
 
 
+def _check_master_seed(master_seed: int, where: str = "") -> None:
+    """Seed parts are 64-bit words, so a master seed outside [0, 2**64)
+    would silently alias one inside it."""
+    if not 0 <= master_seed < 2**64:
+        raise ExperimentSpecError(f"{where}master_seed must be in [0, 2**64), got {master_seed}")
+
+
 @dataclass
 class RunSettings:
     """Spec-file contents: which experiment plus overrides."""
@@ -152,6 +159,8 @@ class RunSettings:
         for key in _SPEC_FILE_INTS & set(raw):
             if type(raw[key]) is not int:  # a bool is not a count
                 raise ExperimentSpecError(f"{path}: {key!r} must be an integer, got {raw[key]!r}")
+        if "master_seed" in raw:
+            _check_master_seed(raw["master_seed"], f"{path}: ")
         if not isinstance(raw.get("llm", {}), dict):
             raise ExperimentSpecError(f"{path}: 'llm' must be a JSON object")
         return cls(**raw)
@@ -218,6 +227,7 @@ def run_experiment(
     llm_settings: Optional[dict] = None,
 ) -> ExperimentOutcome:
     """Run one named experiment and write its CSV + metadata artifacts."""
+    _check_master_seed(master_seed)
     spec = get_experiment(experiment) if isinstance(experiment, str) else experiment
     if spec.variant is not Variant.BASELINE and spec.algorithm not in ("GE", "GE-LLM"):
         raise ExperimentSpecError(

@@ -6,13 +6,13 @@ Every rewrite consumes one codon — including rules with a single
 production — and selects the production with ``codon % n_choices``.
 When the genome is exhausted the read head wraps to the start; after
 `MAX_WRAPS` wraps an unfinished derivation is declared invalid.
-Invalidity is an ordinary result value, not an error.
+A decode gives the finished derivation tree; invalidity is the ordinary
+result ``None``, not an error.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,18 +36,6 @@ MAX_WRAPS = 2
 _FIXED_TARGET = re.compile(r"^target_heuristic\s*=\s*(\w+)$")
 
 
-@dataclass(frozen=True)
-class MappingResult:
-    """Outcome of decoding one genome against one grammar."""
-
-    phenotype: Optional[str]
-    tree: Optional[DerivNode]
-    ast: Optional[RuleAst]
-    invalid: bool
-    used_codons: int
-    wraps: int
-
-
 def tree_terminals(root: DerivNode) -> list[str]:
     """Terminal values of a finished derivation tree in left-to-right order."""
     values: list[str] = []
@@ -61,8 +49,9 @@ def tree_terminals(root: DerivNode) -> list[str]:
     return values
 
 
-def map_genome(genome: Sequence[int], grammar: Grammar) -> MappingResult:
-    """Decode `genome` into a phenotype string (and AST when applicable)."""
+def map_genome(genome: Sequence[int], grammar: Grammar) -> Optional[DerivNode]:
+    """Derive `genome` through `grammar`: the finished derivation tree, or
+    ``None`` when the derivation does not finish within the wrap budget."""
     codons = np.asarray(genome)
     bad = np.flatnonzero((codons < 0) | (codons % 1 != 0))
     if bad.size:
@@ -70,28 +59,24 @@ def map_genome(genome: Sequence[int], grammar: Grammar) -> MappingResult:
     root = DerivNode(NonTerminal(grammar.start))
     stack = [root]
     index = 0
-    used = 0
     wraps = 0
     while stack:
         node = stack.pop()
         name = node.symbol.name  # type: ignore[union-attr]
         if index >= len(genome):
             if wraps >= MAX_WRAPS or len(genome) == 0:
-                return MappingResult(None, None, None, True, used, wraps)
+                return None
             wraps += 1
             index = 0
         codon = int(genome[index])
         index += 1
-        used += 1
         productions = grammar.rules[name]
         production = productions[codon % len(productions)]
         node.children = [DerivNode(symbol) for symbol in production]
         for child in reversed(node.children):
             if isinstance(child.symbol, NonTerminal):
                 stack.append(child)
-    phenotype = " ".join(tree_terminals(root))
-    ast = build_ast(root, grammar) if grammar.is_controller_grammar() else None
-    return MappingResult(phenotype, root, ast, False, used, wraps)
+    return root
 
 
 def _only_terminal(node: DerivNode) -> str:

@@ -31,12 +31,6 @@ class DerivNode:
         self.children = children if children is not None else []
 
 
-# Rule names a grammar must define to decode into controller trees.
-CONTROLLER_RULES = ("sections", "statements", "statement", "conditions",
-                    "operator", "operand", "success", "observations",
-                    "constant", "actions")
-
-
 @dataclass
 class Grammar:
     """An ordered set of production rules with a start symbol.
@@ -57,9 +51,6 @@ class Grammar:
 
     def choice_counts(self) -> dict[str, int]:
         return {name: len(p) for name, p in self.rules.items()}
-
-    def is_controller_grammar(self) -> bool:
-        return all(name in self.rules for name in CONTROLLER_RULES)
 
     def action_terminals(self) -> tuple[str, ...]:
         out = []

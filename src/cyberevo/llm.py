@@ -79,11 +79,10 @@ def _fixed_prompt_tokens(grammar_source: str) -> int:
 
 @dataclass(frozen=True)
 class CompletionResult:
-    """One raw completion: text plus whatever the service reported."""
+    """One raw completion: text plus the token count the service reported."""
 
     text: str
     tokens: Optional[int] = None
-    latency: float = 0.0
 
 
 class CompletionClient(Protocol):
@@ -188,7 +187,6 @@ class HttpClient:
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
         }
-        started = time.perf_counter()
         response = requests.post(
             self.url, json=payload, headers=headers, timeout=self.timeout
         )
@@ -201,11 +199,7 @@ class HttpClient:
             raise ValueError(f"reply content is {type(text).__name__}, not text")
         if tokens is not None and (type(tokens) is not int or tokens < 0):  # a bool is not a count
             raise ValueError(f"reply token count {tokens!r} is not a count")
-        return CompletionResult(
-            text=text,
-            tokens=tokens,
-            latency=time.perf_counter() - started,
-        )
+        return CompletionResult(text=text, tokens=tokens)
 
 
 @dataclass
@@ -268,10 +262,9 @@ def llm_mutate(
         completion = client.complete(prompt)
     except Exception as exc:  # transport problems become flagged individuals
         stats.transport_failures += 1
-        stats.latency_total += time.perf_counter() - started
         return MutationOutcome(ok=False, error=str(exc))
-    latency = completion.latency or (time.perf_counter() - started)
-    stats.latency_total += latency
+    finally:
+        stats.latency_total += time.perf_counter() - started
     tokens = completion.tokens
     if tokens is None:
         prompt_tokens = _fixed_prompt_tokens(grammar.source) + len(program.split())

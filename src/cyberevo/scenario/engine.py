@@ -89,6 +89,16 @@ BLUE_AGENT_ZONES = (
     ("blue_operational_b", ("operational_zone_b",)),
     ("blue_hq", ("public_access_zone", "admin_zone", "office_network")),
 )
+# The event probabilities, per attempt; phishing's is per zone per step.
+EXPLOIT_SCANNED_P = 0.8
+EXPLOIT_UNSCANNED_P = 0.3
+ESCALATE_P = 0.8
+PHISHING_P = 0.02
+DECOY_TRIP_P = 1.0
+SCAN_DETECT_AGGRESSIVE_P = 0.9
+SCAN_DETECT_STEALTH_P = 0.3
+GREEN_LOCAL_WORK_P = 0.5
+SERVICE_SPAWN_P = 0.25
 
 
 @lru_cache(maxsize=None)
@@ -329,9 +339,9 @@ class ScenarioSim:
         ]
         self._draw_service = self.rng.below(len(self._service_table))
         # `next_word() < cut` is `random() < p` (see `seeds.word_cut`).
-        self._local_work_cut = word_cut(config.green_local_work_p)
-        self._spawn_cut = word_cut(config.service_spawn_p)
-        self._phishing_cut = word_cut(config.phishing_p)
+        self._local_work_cut = word_cut(GREEN_LOCAL_WORK_P)
+        self._spawn_cut = word_cut(SERVICE_SPAWN_P)
+        self._phishing_cut = word_cut(PHISHING_P)
         self._servers = frozenset(h for h, host in hosts.items() if host.server)
         self._spawn_initial_agents()
         self._count_blue_observations()
@@ -608,10 +618,10 @@ class ScenarioSim:
         return True
 
     def _red_aggressiveservicediscovery(self, agent: RedAgent, target, events) -> bool:
-        return self._scan(agent, target, self.config.scan_detect_aggressive_p)
+        return self._scan(agent, target, SCAN_DETECT_AGGRESSIVE_P)
 
     def _red_stealthservicediscovery(self, agent: RedAgent, target, events) -> bool:
-        return self._scan(agent, target, self.config.scan_detect_stealth_p)
+        return self._scan(agent, target, SCAN_DETECT_STEALTH_P)
 
     def _red_exploitremoteservice(self, agent: RedAgent, target, events) -> bool:
         if target not in agent.known_set:
@@ -620,16 +630,16 @@ class ScenarioSim:
         if not self.reachable(agent.zone, target_zone):
             return False
         host = self.hosts[target]
-        if host.decoy and self.rng.random() < self.config.decoy_trip_p:
+        if host.decoy and self.rng.random() < DECOY_TRIP_P:
             self._record_detection(target, DETECT_DECOY)
             return False
-        p = self.config.exploit_scanned_p if target in agent.scanned else self.config.exploit_unscanned_p
+        p = EXPLOIT_SCANNED_P if target in agent.scanned else EXPLOIT_UNSCANNED_P
         if self.rng.random() >= p:
             # A failed exploit is noisy and may be spotted.
-            if self.rng.random() < self.config.scan_detect_aggressive_p:
+            if self.rng.random() < SCAN_DETECT_AGGRESSIVE_P:
                 self._record_detection(target, DETECT_EXPLOIT)
             return False
-        if self.rng.random() < self.config.scan_detect_stealth_p:
+        if self.rng.random() < SCAN_DETECT_STEALTH_P:
             self._record_detection(target, DETECT_EXPLOIT)
         if target_zone == agent.zone:
             agent.sessions[target] = max(agent.sessions.get(target, 0), USER_LEVEL)
@@ -640,7 +650,7 @@ class ScenarioSim:
     def _red_privilegeescalate(self, agent: RedAgent, target, events) -> bool:
         if agent.sessions.get(target) != USER_LEVEL:
             return False
-        if self.rng.random() >= self.config.escalate_p:
+        if self.rng.random() >= ESCALATE_P:
             return False
         agent.sessions[target] = ROOT_LEVEL
         self._recompute_level(target)

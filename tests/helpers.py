@@ -1,19 +1,22 @@
-"""Test-only controllers, views of grammars, the engine, the topology and
-the reward table that only tests read, and the environment for child
-interpreters."""
+"""Test-only controllers, views of grammars, genome decodes, the engine,
+the topology and the reward table that only tests read, and the
+environment for child interpreters."""
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Optional, Sequence
 
 import cyberevo
 from cyberevo.controllers.base import RANDOM_TARGET
 from cyberevo.errors import GrammarParseError
-from cyberevo.grammar.mapping import _FIXED_TARGET
-from cyberevo.grammar.model import Grammar, Terminal
+from cyberevo.grammar.ast import RuleAst
+from cyberevo.grammar.mapping import _FIXED_TARGET, MAX_WRAPS, build_ast, map_genome, tree_terminals
+from cyberevo.grammar.model import DerivNode, Grammar, NonTerminal, Terminal
 from cyberevo.scenario.engine import ScenarioSim
 from cyberevo.scenario.topology import Topology
 
@@ -75,6 +78,52 @@ def fixed_target(grammar: Grammar) -> str | None:
 
 def has_target_section(grammar: Grammar) -> bool:
     return "th_statements" in grammar.rules
+
+
+# Rule names a grammar must define to decode into controller trees.
+CONTROLLER_RULES = ("sections", "statements", "statement", "conditions",
+                    "operator", "operand", "success", "observations",
+                    "constant", "actions")
+
+
+def is_controller_grammar(grammar: Grammar) -> bool:
+    return all(name in grammar.rules for name in CONTROLLER_RULES)
+
+
+@dataclass(frozen=True)
+class MappingResult:
+    """One decode as the mapping oracle reports it, plus the tree and AST."""
+
+    phenotype: Optional[str]
+    tree: Optional[DerivNode]
+    ast: Optional[RuleAst]
+    invalid: bool
+    used_codons: int
+    wraps: int
+
+
+def mapping_result(genome: Sequence[int], grammar: Grammar) -> MappingResult:
+    """`map_genome`'s tree and what follows from it.
+
+    Every rewrite consumes one codon, so a finished tree used one codon
+    per nonterminal node, and the read head wrapped once per full read of
+    the genome before the last codon.  An unfinished derivation read the
+    genome ``MAX_WRAPS + 1`` times, or not at all when it is empty.
+    """
+    tree = map_genome(genome, grammar)
+    if tree is None:
+        reads = MAX_WRAPS + 1 if len(genome) else 0
+        return MappingResult(None, None, None, True, reads * len(genome), max(reads - 1, 0))
+    used = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node.symbol, NonTerminal):
+            used += 1
+            stack.extend(node.children)
+    ast = build_ast(tree, grammar) if is_controller_grammar(grammar) else None
+    phenotype = " ".join(tree_terminals(tree))
+    return MappingResult(phenotype, tree, ast, False, used, (used - 1) // len(genome))
 
 
 def agent_names(sim: ScenarioSim) -> list[str]:

@@ -26,6 +26,7 @@ from cyberevo.controllers.matrix import matrix_actions, normalize_row
 from cyberevo.controllers.rules import RuleController
 from cyberevo.episodes import run_episode
 from cyberevo.evolution import (
+    ELITE_COUNT,
     EvoConfig,
     RuleTeamDecoder,
     evaluate_team,
@@ -34,7 +35,6 @@ from cyberevo.evolution import (
 )
 from cyberevo.experiments import run_experiment, summarize_traces
 from cyberevo.grammar.ast import ActionAssign, RuleAst
-from cyberevo.grammar.mapping import map_genome
 from cyberevo.grammar.parse import parse_grammar
 from cyberevo.grammar.program import parse_program, render_program
 from cyberevo.grammar.variants import Variant, load_grammar
@@ -47,6 +47,7 @@ from helpers import (
     EXTRA_OBSERVATIONS,
     fixed_target,
     has_target_section,
+    mapping_result,
     observation_terminals,
     package_env,
 )
@@ -184,7 +185,7 @@ def test_criterion_03_mapping_agrees_with_bruteforce_oracle(criterion):
         total = 0
         for genome in all_genomes(4, 8):
             reference = oracle_map(genome, TOY_SPEC, "s")
-            got = map_genome(list(genome), grammar)
+            got = mapping_result(list(genome), grammar)
             assert got.invalid == reference.invalid, genome
             assert got.phenotype == reference.phenotype, genome
             assert got.used_codons == reference.used_codons, genome
@@ -287,7 +288,7 @@ def test_criterion_07_mutual_sleep_scores_exactly_zero(criterion):
                 [SleepController("blue")],
                 [SleepController("red")],
             )
-            assert result.steps == ScenarioConfig().steps
+            assert len(result.blue_rewards) == ScenarioConfig().steps
             assert result.blue_total == 0.0
             red_score = evaluate_team(
                 [SleepController("red")], [SleepController("blue")], "red", ScenarioConfig(), [seed]
@@ -306,7 +307,7 @@ def test_criterion_08_blue_fitness_never_positive(criterion, ga_blue_full_run):
         defaults = EvoConfig()
         evaluations_per_trial = defaults.population_size + (
             defaults.iterations - 1
-        ) * (defaults.population_size - defaults.elite_count)
+        ) * (defaults.population_size - ELITE_COUNT)
         assert len(recorded) == defaults.trials * evaluations_per_trial
         assert all(value is not None and value <= 0.0 for value in recorded)
         assert result.best("blue").fitness <= 0.0

@@ -30,7 +30,7 @@ TINY = ScenarioConfig(
 )
 
 SMALL_EVO = EvoConfig(
-    population_size=3, iterations=3, trials=1, repetitions=1, elite_count=1
+    population_size=3, iterations=3, trials=1, repetitions=1
 )
 
 

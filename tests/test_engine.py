@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from cyberevo.errors import SimulationFault
+from cyberevo.scenario import engine
 from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.scenario.engine import (
     NO_COMPROMISE,
@@ -34,22 +35,37 @@ from helpers import agent_names, user_hosts
 SMALL_BOUNDS = TopologyBounds(servers=(1, 2), user_hosts=(3, 4), services=(1, 2))
 
 
+# Noise-free event probabilities: no phishing, greens never fail on
+# their own, red rolls always succeed, detections never fire.
+QUIET = dict(
+    PHISHING_P=0.0,
+    GREEN_LOCAL_WORK_P=1.0,
+    SERVICE_SPAWN_P=0.0,
+    SCAN_DETECT_AGGRESSIVE_P=0.0,
+    SCAN_DETECT_STEALTH_P=0.0,
+    EXPLOIT_SCANNED_P=1.0,
+    EXPLOIT_UNSCANNED_P=1.0,
+    ESCALATE_P=1.0,
+)
+
+
+@pytest.fixture(autouse=True)
+def quiet(monkeypatch):
+    """Every test here runs with the `QUIET` probabilities; the fixture
+    patches further engine probabilities, by constant name, for one test.
+    A simulation reads them when it is built and as its actions apply."""
+
+    def patch(**probabilities):
+        for name, value in probabilities.items():
+            monkeypatch.setattr(engine, name, value)  # raises on a name engine lacks
+
+    patch(**QUIET)
+    return patch
+
+
 def quiet_config(**overrides) -> ScenarioConfig:
-    """Small, noise-free scenario: no phishing, greens never fail on
-    their own, red rolls always succeed, detections never fire."""
-    defaults = dict(
-        steps=40,
-        phase_boundaries=(10, 20),
-        bounds=SMALL_BOUNDS,
-        phishing_p=0.0,
-        green_local_work_p=1.0,
-        service_spawn_p=0.0,
-        scan_detect_aggressive_p=0.0,
-        scan_detect_stealth_p=0.0,
-        exploit_scanned_p=1.0,
-        exploit_unscanned_p=1.0,
-        escalate_p=1.0,
-    )
+    """Small scenario; the `quiet` fixture keeps it noise-free."""
+    defaults = dict(steps=40, phase_boundaries=(10, 20), bounds=SMALL_BOUNDS)
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
 
@@ -106,8 +122,9 @@ def test_initial_state():
         assert all(sim.topology.hosts[h].zone in zones for h in agent.zone_hosts)
 
 
-def test_same_seed_replays_identically():
-    config = quiet_config(phishing_p=0.2, green_local_work_p=0.5)
+def test_same_seed_replays_identically(quiet):
+    quiet(PHISHING_P=0.2, GREEN_LOCAL_WORK_P=0.5)
+    config = quiet_config()
     a = ScenarioSim(config, seed=5)
     b = ScenarioSim(config, seed=5)
     assert a.topology == b.topology
@@ -379,8 +396,9 @@ def test_withdraw_spares_the_anchor_foothold():
 # blue actions
 
 
-def test_deploy_decoy_once_then_red_trips_it():
-    sim = ScenarioSim(quiet_config(decoy_trip_p=1.0), seed=17)
+def test_deploy_decoy_once_then_red_trips_it(quiet):
+    quiet(DECOY_TRIP_P=1.0)
+    sim = ScenarioSim(quiet_config(), seed=17)
     blue = sim.blue_agents["blue_restricted_a"]
     target = blue.zone_hosts[0]
     step_with(sim, {"blue_restricted_a": ("DeployDecoy", target)})
@@ -409,8 +427,9 @@ def test_decoy_outside_own_zones_is_refused():
     assert not sim.hosts[foreign].decoy
 
 
-def test_monitor_gates_scan_detections():
-    config = quiet_config(scan_detect_aggressive_p=1.0)
+def test_monitor_gates_scan_detections(quiet):
+    quiet(SCAN_DETECT_AGGRESSIVE_P=1.0)
+    config = quiet_config()
     target_zone = "restricted_zone_a"
 
     sim = ScenarioSim(config, seed=19)
@@ -526,8 +545,9 @@ def test_block_and_allow_traffic_zone():
 # background processes
 
 
-def test_phishing_spawns_non_anchor_agents_on_user_hosts():
-    sim = ScenarioSim(quiet_config(phishing_p=1.0), seed=25)
+def test_phishing_spawns_non_anchor_agents_on_user_hosts(quiet):
+    quiet(PHISHING_P=1.0)
+    sim = ScenarioSim(quiet_config(), seed=25)
     sleep_step(sim)
     spawned = [a for a in sim.red_agents if a is not None and not a.anchor]
     assert len(spawned) == RED_SLOTS - 1  # every free slot fills
@@ -547,8 +567,9 @@ def only_green(sim: ScenarioSim, green: str, service: str):
     sim._draw_service = sim.rng.below(1)
 
 
-def test_green_access_failure_is_charged_to_the_service_zone():
-    sim = ScenarioSim(quiet_config(green_local_work_p=0.0), seed=26)
+def test_green_access_failure_is_charged_to_the_service_zone(quiet):
+    quiet(GREEN_LOCAL_WORK_P=0.0)
+    sim = ScenarioSim(quiet_config(), seed=26)
     green = sim.topology.hosts_by_zone["operational_zone_a"][-1]
     service = sim.topology.hosts_by_zone["restricted_zone_b"][0]
     only_green(sim, green, service)
@@ -565,8 +586,9 @@ def test_green_access_failure_is_charged_to_the_service_zone():
     assert events == [StepEvent("Restricted Zone B", ACCESS_SERVICE_FAILS)]
 
 
-def test_green_access_to_compromised_service_can_spread_red():
-    sim = ScenarioSim(quiet_config(green_local_work_p=0.0, service_spawn_p=1.0), seed=27)
+def test_green_access_to_compromised_service_can_spread_red(quiet):
+    quiet(GREEN_LOCAL_WORK_P=0.0, SERVICE_SPAWN_P=1.0)
+    sim = ScenarioSim(quiet_config(), seed=27)
     red = anchor(sim)
     green = sim.topology.hosts_by_zone["operational_zone_b"][-1]
     only_green(sim, green, red.entry_host)

@@ -10,6 +10,8 @@ other.
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from cyberevo.scenario.actions import (
     TARGET_NONE,
     TARGET_ZONE,
 )
+from cyberevo.scenario import engine
 from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.scenario.engine import NO_COMPROMISE, ROOT_LEVEL, USER_LEVEL, ScenarioSim
 from cyberevo.scenario.topology import ZONES
@@ -153,23 +156,23 @@ def check_invariants(sim: ScenarioSim, result) -> None:
 def test_engine_invariants_hold_on_every_step(
     seed, phishing_p, exploit_p, escalate_p, service_spawn_p
 ):
-    config = ScenarioConfig(
-        steps=STEPS,
-        phase_boundaries=(10, 20),
-        phishing_p=phishing_p,
-        exploit_scanned_p=exploit_p,
-        exploit_unscanned_p=exploit_p,
-        escalate_p=escalate_p,
-        service_spawn_p=service_spawn_p,
-    )
-    sim = ScenarioSim(config, seed)
-    play(
-        sim,
-        [RandomLegalController("blue")],
-        [RandomLegalController("red")],
-        seed,
-        check_invariants,
-    )
+    config = ScenarioConfig(steps=STEPS, phase_boundaries=(10, 20))
+    with patch.multiple(
+        engine,
+        PHISHING_P=phishing_p,
+        EXPLOIT_SCANNED_P=exploit_p,
+        EXPLOIT_UNSCANNED_P=exploit_p,
+        ESCALATE_P=escalate_p,
+        SERVICE_SPAWN_P=service_spawn_p,
+    ):
+        sim = ScenarioSim(config, seed)
+        play(
+            sim,
+            [RandomLegalController("blue")],
+            [RandomLegalController("red")],
+            seed,
+            check_invariants,
+        )
 
 
 def test_blue_counts_that_baseline_programs_read_never_change():
@@ -214,26 +217,27 @@ def test_a_kept_context_answers_as_a_fresh_one(seed, fsm, phishing_p):
     """The episode runner keeps one decision view per agent object all
     episode; a view made at an earlier step must answer every later step
     as one made at that step does."""
-    config = ScenarioConfig(steps=STEPS, phase_boundaries=(10, 20), phishing_p=phishing_p)
-    sim = ScenarioSim(config, seed)
-    if fsm:
-        teams = {"blue": [load_fsm_adversary("blue")], "red": [load_fsm_adversary("red")]}
-    else:
-        teams = {"blue": [RandomLegalController("blue")], "red": [RandomLegalController("red")]}
-    rng = spawn_generator(seed, STREAM_CONTROLLER)
-    kept = {}
-    for _ in range(config.steps):
-        submissions = {}
-        for agent in sim.idle_agents():
-            fresh = sim.agent_context(agent.name)
-            context = kept.setdefault(agent, fresh)
-            assert context.observation() == fresh.observation(), agent.name
-            assert context.counters() == fresh.counters(), agent.name
-            for action in RED_ACTIONS if agent.side == "red" else BLUE_ACTIONS:
-                if TARGET_KINDS[action] != TARGET_NONE:
-                    assert context.targets(action) == fresh.targets(action), (agent.name, action)
-            action, heuristic = controller_for(teams[agent.side], agent).decide(context, rng)
-            submissions[agent.name] = (
-                action, resolve_heuristic_target(action, heuristic, context, rng)
-            )
-        sim.step(submissions)
+    config = ScenarioConfig(steps=STEPS, phase_boundaries=(10, 20))
+    with patch.multiple(engine, PHISHING_P=phishing_p):
+        sim = ScenarioSim(config, seed)
+        if fsm:
+            teams = {"blue": [load_fsm_adversary("blue")], "red": [load_fsm_adversary("red")]}
+        else:
+            teams = {"blue": [RandomLegalController("blue")], "red": [RandomLegalController("red")]}
+        rng = spawn_generator(seed, STREAM_CONTROLLER)
+        kept = {}
+        for _ in range(config.steps):
+            submissions = {}
+            for agent in sim.idle_agents():
+                fresh = sim.agent_context(agent.name)
+                context = kept.setdefault(agent, fresh)
+                assert context.observation() == fresh.observation(), agent.name
+                assert context.counters() == fresh.counters(), agent.name
+                for action in RED_ACTIONS if agent.side == "red" else BLUE_ACTIONS:
+                    if TARGET_KINDS[action] != TARGET_NONE:
+                        assert context.targets(action) == fresh.targets(action), (agent.name, action)
+                action, heuristic = controller_for(teams[agent.side], agent).decide(context, rng)
+                submissions[agent.name] = (
+                    action, resolve_heuristic_target(action, heuristic, context, rng)
+                )
+            sim.step(submissions)

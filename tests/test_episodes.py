@@ -16,6 +16,7 @@ from cyberevo.controllers.base import (
 from cyberevo.controllers.fsm import load_fsm_adversary
 from cyberevo.episodes import controller_for, resolve_heuristic_target, run_episode
 from cyberevo.evolution import evaluate_team
+from cyberevo.scenario import engine
 from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.controllers.rules import RuleController
 from cyberevo.grammar.ast import ActionAssign, Condition, IfStatement, ObsTest, RuleAst
@@ -88,11 +89,10 @@ class RecordingController:
         return "Sleep", RANDOM_TARGET
 
 
-def test_each_agent_is_decided_by_its_slots_controller():
+def test_each_agent_is_decided_by_its_slots_controller(monkeypatch):
     # Every step fills each free red slot, so all six red agents decide.
-    config = ScenarioConfig(
-        steps=6, phase_boundaries=(2, 4), bounds=CONFIG.bounds, phishing_p=1.0,
-    )
+    monkeypatch.setattr(engine, "PHISHING_P", 1.0)
+    config = ScenarioConfig(steps=6, phase_boundaries=(2, 4), bounds=CONFIG.bounds)
     blue = [RecordingController() for _ in range(team_size("blue", "many"))]
     red = [RecordingController() for _ in range(team_size("red", "many"))]
     run_episode(config, seed=21, blue_team=blue, red_team=red)
@@ -173,7 +173,7 @@ def test_sleep_vs_sleep_scores_zero():
     blue, red = sleep_teams()
     result = run_episode(CONFIG, seed=7, blue_team=blue, red_team=red)
     assert result.blue_total == 0.0
-    assert result.steps == CONFIG.steps
+    assert len(result.blue_rewards) == CONFIG.steps
     assert result.blue_rewards == (0.0,) * CONFIG.steps
 
 
@@ -203,7 +203,7 @@ def test_full_default_scenario_runs_both_fsm_teams():
         blue_team=[load_fsm_adversary("blue")],
         red_team=[load_fsm_adversary("red")],
     )
-    assert result.steps == 75
+    assert len(result.blue_rewards) == 75
     assert result.blue_total < 0.0
 
 
@@ -261,4 +261,4 @@ def test_rule_controllers_never_compute_classifier_counters(monkeypatch):
     )), "red")
     blue = RuleController(RuleAst(action_statements=(ActionAssign("Analyse"),)), "blue")
     result = run_episode(CONFIG, seed=17, blue_team=[blue], red_team=[red])
-    assert result.steps == CONFIG.steps
+    assert len(result.blue_rewards) == CONFIG.steps

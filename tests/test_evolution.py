@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cyberevo import evolution
 from cyberevo.controllers.base import SleepController
 from cyberevo.controllers.fsm import load_fsm_adversary
 from cyberevo.controllers.matrix import MatrixController
@@ -13,8 +14,14 @@ from cyberevo.episodes import run_episode
 from cyberevo.errors import ControllerError
 from cyberevo.evolution import (
     CODON_MAX,
+    CROSSOVER_P,
+    ELITE_COUNT,
+    ES_SIGMA,
     GE_GENOME_LENGTH,
     INVALID_PENALTY,
+    INVALID_RETRY_CAP,
+    MUTATION_P,
+    TOURNAMENT_SIZE,
     EvoConfig,
     Individual,
     MatrixTeamDecoder,
@@ -27,6 +34,7 @@ from cyberevo.evolution import (
     one_point_crossover,
     tournament_select,
 )
+from cyberevo.scenario import engine
 from cyberevo.scenario.config import ScenarioConfig
 from cyberevo.scenario.topology import TopologyBounds
 from cyberevo.traces import running_best
@@ -38,9 +46,7 @@ TINY = ScenarioConfig(
     bounds=TopologyBounds(servers=(1, 1), user_hosts=(3, 3), services=(1, 1)),
 )
 
-SMALL_EVO = EvoConfig(
-    population_size=4, iterations=3, trials=2, repetitions=1, elite_count=1
-)
+SMALL_EVO = EvoConfig(population_size=4, iterations=3, trials=2, repetitions=1)
 
 
 class ScriptRng:
@@ -61,37 +67,31 @@ def individual(fitness: float) -> Individual:
 # configuration
 
 
-@pytest.mark.parametrize("overrides", [
-    {"crossover_p": -0.1},
-    {"crossover_p": 1.5},
-    {"mutation_p": -0.01},
-    {"mutation_p": 2.0},
-    {"es_sigma": -0.1},
-    {"invalid_retry_cap": -1},
-])
-def test_evo_config_rejects_out_of_range_variation_settings(overrides):
-    (name,) = overrides
-    with pytest.raises(ValueError, match=name):
-        EvoConfig(**overrides)
-    EvoConfig(crossover_p=0.0, mutation_p=1.0, es_sigma=0.0, invalid_retry_cap=0)  # the edges
-
-
 def test_evo_config_validation():
     with pytest.raises(ValueError):
         EvoConfig(population_size=1)
     with pytest.raises(ValueError):
-        EvoConfig(elite_count=10, population_size=10)
-    with pytest.raises(ValueError):
-        EvoConfig(elite_count=-1)
-    with pytest.raises(ValueError):
         EvoConfig(controllers_per_team="both")
-    for name in ("iterations", "trials", "repetitions", "tournament_size"):
+    for name in ("iterations", "trials", "repetitions"):
         with pytest.raises(ValueError, match=name):
             EvoConfig(**{name: 0})
     defaults = EvoConfig()
     assert (defaults.population_size, defaults.iterations, defaults.trials) == (10, 20, 6)
-    assert (defaults.repetitions, defaults.elite_count, defaults.tournament_size) == (2, 1, 2)
-    assert defaults.crossover_p == defaults.mutation_p == 0.5
+    assert (defaults.repetitions, ELITE_COUNT, TOURNAMENT_SIZE) == (2, 1, 2)
+    assert CROSSOVER_P == MUTATION_P == 0.5
+
+
+def test_fixed_settings_are_in_range():
+    """The experiment setup's constants keep the ranges the loop needs."""
+    probabilities = {name: value for name, value in vars(engine).items() if name.endswith("_P")}
+    assert len(probabilities) == 9
+    probabilities.update(CROSSOVER_P=CROSSOVER_P, MUTATION_P=MUTATION_P)
+    for name, p in probabilities.items():
+        assert 0.0 <= p <= 1.0, name
+    assert ES_SIGMA >= 0 and INVALID_RETRY_CAP >= 0
+    assert TOURNAMENT_SIZE >= 1
+    EvoConfig(population_size=2)  # the smallest population allowed (1 is refused above)
+    assert 0 <= ELITE_COUNT < 2
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +111,10 @@ def test_tournament_tie_keeps_the_earliest_draw():
     assert tournament_select(population, ScriptRng([1, 0])) is population[1]
 
 
-def test_tournament_size_controls_the_number_of_draws():
+def test_tournament_size_controls_the_number_of_draws(monkeypatch):
+    monkeypatch.setattr(evolution, "TOURNAMENT_SIZE", 3)
     population = [individual(1.0), individual(2.0), individual(3.0)]
-    assert tournament_select(population, ScriptRng([0, 1, 2]), k=3) is population[2]
+    assert tournament_select(population, ScriptRng([0, 1, 2])) is population[2]
 
 
 def test_one_point_crossover_swaps_tails():
@@ -139,7 +140,7 @@ def test_crossover_cut_stays_strictly_inside():
 # decoders
 
 
-def test_matrix_decoder_genomes_and_mutation():
+def test_matrix_decoder_genomes_and_mutation(monkeypatch):
     rng = np.random.default_rng(2)
     es = MatrixTeamDecoder("blue", "one", "continuous")
     genome = es.random_genome(rng)
@@ -151,9 +152,11 @@ def test_matrix_decoder_genomes_and_mutation():
     assert individual.genome is genome
 
     before = genome.copy()
-    frozen = es.mutate(genome, rng, EvoConfig(mutation_p=0.0))
+    monkeypatch.setattr(evolution, "MUTATION_P", 0.0)
+    frozen = es.mutate(genome, rng)
     assert np.array_equal(frozen, genome)
-    shaken = es.mutate(genome, rng, EvoConfig(mutation_p=1.0))
+    monkeypatch.setattr(evolution, "MUTATION_P", 1.0)
+    shaken = es.mutate(genome, rng)
     assert not np.array_equal(shaken, genome)
     assert ((shaken >= 0) & (shaken <= 1)).all()  # Gaussian noise is clipped
     assert np.array_equal(genome, before)  # mutation copies, never edits in place
@@ -162,12 +165,12 @@ def test_matrix_decoder_genomes_and_mutation():
     codes = ga.random_genome(rng)
     assert codes.shape == (432,)
     assert set(np.unique(codes)) <= {0, 1, 2, 3}
-    redrawn = ga.mutate(codes, rng, EvoConfig(mutation_p=1.0))
+    redrawn = ga.mutate(codes, rng)
     assert set(np.unique(redrawn)) <= {0, 1, 2, 3}
     assert len(ga.decode(codes).team) == 6
 
 
-def test_rule_decoder_genomes_and_decoding():
+def test_rule_decoder_genomes_and_decoding(monkeypatch):
     rng = np.random.default_rng(3)
     decoder = RuleTeamDecoder("blue")
     assert decoder.genome_length == GE_GENOME_LENGTH
@@ -182,7 +185,8 @@ def test_rule_decoder_genomes_and_decoding():
         assert individual.team[0].ast is not None
     many = RuleTeamDecoder("red", mode="many")
     assert many.genome_length == GE_GENOME_LENGTH * 6
-    mutated = decoder.mutate(genome, rng, EvoConfig(mutation_p=1.0))
+    monkeypatch.setattr(evolution, "MUTATION_P", 1.0)
+    mutated = decoder.mutate(genome, rng)
     assert mutated.min() >= 0 and mutated.max() <= CODON_MAX
     assert not np.array_equal(mutated, genome)
 
@@ -225,13 +229,14 @@ class NeverValid:
         self.calls += 1
         return Individual(genome, None, False)
 
-    def mutate(self, genome, rng, config):
+    def mutate(self, genome, rng):
         return genome.copy()
 
 
-def test_fresh_individual_retries_up_to_the_cap():
+def test_fresh_individual_retries_up_to_the_cap(monkeypatch):
+    monkeypatch.setattr(evolution, "INVALID_RETRY_CAP", 5)
     decoder = NeverValid()
-    result = fresh_individual(decoder, np.random.default_rng(4), retry_cap=5)
+    result = fresh_individual(decoder, np.random.default_rng(4))
     assert not result.valid
     assert result.team is None
     assert decoder.calls == 6  # first try plus five retries
@@ -239,7 +244,7 @@ def test_fresh_individual_retries_up_to_the_cap():
 
 def test_fresh_individual_stops_at_first_valid():
     decoder = MatrixTeamDecoder("blue")
-    result = fresh_individual(decoder, np.random.default_rng(5), retry_cap=100)
+    result = fresh_individual(decoder, np.random.default_rng(5))
     assert result.valid
     assert result.fitness is None
 
@@ -335,13 +340,13 @@ class ValidThenInvalid:
             return Individual(genome, [SleepController("blue")], True)
         return Individual(genome, None, False)
 
-    def mutate(self, genome, rng, config):
+    def mutate(self, genome, rng):
         return genome.copy()
 
 
-def test_invalid_penalty_tracks_the_worst_fitness_seen_across_trials():
-    evo = EvoConfig(population_size=2, iterations=1, trials=2, repetitions=1,
-                    invalid_retry_cap=0)
+def test_invalid_penalty_tracks_the_worst_fitness_seen_across_trials(monkeypatch):
+    monkeypatch.setattr(evolution, "INVALID_RETRY_CAP", 0)
+    evo = EvoConfig(population_size=2, iterations=1, trials=2, repetitions=1)
     adversary = [load_fsm_adversary("red")]
     result = evolve_one_sided(
         "blue", ValidThenInvalid(evo.population_size), adversary,
@@ -372,7 +377,7 @@ class AlwaysFaults:
     def decode(self, genome):
         return Individual(genome, [FixedActionController("blue", "Impact")], True)
 
-    def mutate(self, genome, rng, config):
+    def mutate(self, genome, rng):
         return genome.copy()
 
 

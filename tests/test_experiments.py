@@ -202,6 +202,11 @@ def test_run_experiment_writes_csv_and_metadata(tmp_path):
     assert meta["wall_time_s"] == pytest.approx(outcome.wall_time_s)
     assert meta["evolution_config"]["population_size"] == 2
     assert meta["scenario_config"]["steps"] == 6
+    # The echoes hold what a caller can set; the fixed settings are constants.
+    assert sorted(meta["evolution_config"]) == [
+        "controllers_per_team", "iterations", "population_size", "repetitions", "trials",
+    ]
+    assert sorted(meta["scenario_config"]) == ["bounds", "phase_boundaries", "steps"]
     assert "seed_scheme" in meta
     assert "llm" not in meta  # no language model involved
     # wall time lives in the sidecar only, never in the deterministic CSV
@@ -371,6 +376,41 @@ def test_cli_run_from_settings_file(tmp_path, capsys):
     assert meta["variant"] == "tc"
     assert meta["master_seed"] == 11
     capsys.readouterr()
+
+
+TINY_RUN = ["--steps", "6", "--iterations", "1", "--trials", "1", "--population", "2",
+            "--repetitions", "1"]
+
+
+@pytest.mark.parametrize("llm", [None, {"kind": "echo"}], ids=["no-llm", "echo"])
+@pytest.mark.parametrize("seed", [-1, 2**64, 0], ids=str)
+def test_master_seeds_outside_64_bits_are_refused_by_name(seed, llm, tmp_path, capsys):
+    """Seed parts are 64-bit words: -1 would run as 2**64 - 1 and 2**64
+    as 0, so both are refused before anything runs, whatever the llm
+    block says."""
+    spec = tmp_path / "spec.json"
+    settings = {"experiment": "GE-B", "master_seed": seed} | ({"llm": llm} if llm else {})
+    spec.write_text(json.dumps(settings))
+    by_flag = ["run", "GE-B", f"--seed={seed}"]
+    for argv in (["run", str(spec)], by_flag):
+        out = tmp_path / "out"
+        code = main([*argv, *TINY_RUN, "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        if seed == 0:
+            assert code == 0, err
+            assert json.loads((out / "GE-B.meta.json").read_text())["master_seed"] == 0
+            (out / "GE-B.csv").unlink()
+            (out / "GE-B.meta.json").unlink()
+            out.rmdir()
+            continue
+        assert code == 2
+        assert err.startswith("error: ") and "master_seed must be in [0, 2**64)" in err, err
+        assert (str(spec) in err) == (argv[1] == str(spec)), err
+        assert not out.exists()
+    if seed != 0:
+        with pytest.raises(ExperimentSpecError, match="master_seed"):
+            run_experiment("GE-B", str(tmp_path / "direct"), master_seed=seed)
+        assert not (tmp_path / "direct").exists()
 
 
 def test_cli_rejects_unknown_experiments(tmp_path, capsys):

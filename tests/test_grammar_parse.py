@@ -9,7 +9,7 @@ from cyberevo.grammar.model import Grammar, NonTerminal, Terminal
 from cyberevo.grammar.parse import parse_grammar
 from cyberevo.llm import GRAMMAR_HEADER, PROGRAM_HEADER, build_prompt
 
-from helpers import fixed_target, has_target_section, observation_terminals
+from helpers import fixed_target, has_target_section, is_controller_grammar, observation_terminals
 
 TOY = """\
 s: a | a s
@@ -79,7 +79,7 @@ def test_round_trip_preserves_special_terminals():
 
 
 def test_controller_grammar_detection():
-    assert not parse_grammar(TOY).is_controller_grammar()
+    assert not is_controller_grammar(parse_grammar(TOY))
 
 
 def test_action_and_observation_terminal_helpers():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import sys
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -116,7 +118,7 @@ def test_expanding_mock_appends_one_legal_assignment():
 @pytest.mark.parametrize("side", ["blue", "red"])
 def test_expanding_mock_reads_the_grammar_from_the_prompt(side, variant):
     decoder = RuleTeamDecoder(side, variant)
-    seeded = fresh_individual(decoder, np.random.default_rng(12), 100)
+    seeded = fresh_individual(decoder, np.random.default_rng(12))
     assert seeded.valid
     client = ExpandingMockClient()
     outcome = llm_mutate(client, seeded.program, decoder.grammar, LlmStats())
@@ -261,7 +263,7 @@ def test_token_fallback_counts_the_prompt_without_splitting_it(side, variant):
     whitespace split of the whole prompt for every packaged grammar."""
     decoder = RuleTeamDecoder(side, variant)
     rng = np.random.default_rng(7)
-    programs = [fresh_individual(decoder, rng, 100).program for _ in range(4)]
+    programs = [fresh_individual(decoder, rng).program for _ in range(4)]
     programs += [MONITOR_TEXT, "x", "  a\tb\n\n  c  \n", "```python\nx\n```"]
     for program in programs:
         expected = len(build_prompt(decoder.grammar, program).split())
@@ -269,17 +271,19 @@ def test_token_fallback_counts_the_prompt_without_splitting_it(side, variant):
         assert counted == expected, program
 
 
-def test_reported_token_counts_win_over_the_fallback():
+def test_reported_token_counts_win_over_the_fallback(monkeypatch):
     class Counting:
         def complete(self, prompt):
-            return CompletionResult(
-                text=f"```python\n{MONITOR_TEXT}\n```", tokens=123, latency=0.5
-            )
+            return CompletionResult(text=f"```python\n{MONITOR_TEXT}\n```", tokens=123)
 
+    # The operator's own clock times every call, whatever the client.
+    clock = SimpleNamespace(perf_counter=iter([10.0, 10.5]).__next__)
+    monkeypatch.setattr(llm_module, "time", clock)
     stats = LlmStats()
     llm_mutate(Counting(), MONITOR_TEXT, GRAMMAR, stats)
     assert stats.tokens_total == 123
     assert stats.latency_total == pytest.approx(0.5)
+    assert stats.summary()["mean_latency"] == pytest.approx(0.5)
 
 
 def test_accepted_mutations_are_render_parse_fixpoints():
@@ -383,7 +387,7 @@ def test_all_invalid_replies_degrade_to_random_replacement():
 
 def seeded_population(decoder, seed: int, size: int = 4) -> list:
     rng = np.random.default_rng(seed)
-    population = [fresh_individual(decoder, rng, 100) for _ in range(size)]
+    population = [fresh_individual(decoder, rng) for _ in range(size)]
     for fitness, individual in enumerate(population):
         assert individual.valid and not individual.detached
         individual.fitness = float(fitness)
@@ -391,11 +395,11 @@ def seeded_population(decoder, seed: int, size: int = 4) -> list:
 
 
 def make_children(population, decoder, crossover_p: float, needed: int):
-    evo = EvoConfig(population_size=len(population), crossover_p=crossover_p)
-    return evolution._make_children(
-        population, decoder, np.random.default_rng(5), evo, needed,
-        ExpandingMockClient(seed=6), LlmStats(),
-    )
+    with patch.object(evolution, "CROSSOVER_P", crossover_p):
+        return evolution._make_children(
+            population, decoder, np.random.default_rng(5), needed,
+            ExpandingMockClient(seed=6), LlmStats(),
+        )
 
 
 def test_accepted_llm_children_are_detached_and_keep_their_parents_genome():

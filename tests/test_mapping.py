@@ -17,6 +17,7 @@ from cyberevo.grammar.mapping import MAX_WRAPS, map_genome, tree_terminals
 from cyberevo.grammar.parse import parse_grammar
 from cyberevo.grammar.variants import load_grammar
 
+from helpers import mapping_result
 from oracles import TOY_SPEC, all_genomes, grammar_to_spec, oracle_map, spec_to_text
 
 TOY_GRAMMAR = parse_grammar(spec_to_text(TOY_SPEC))
@@ -42,7 +43,7 @@ def test_oracle_hand_worked_examples():
 
 
 def assert_agrees(genome, grammar, spec):
-    result = map_genome(genome, grammar)
+    result = mapping_result(genome, grammar)
     expected = oracle_map(list(genome), spec, grammar.start)
     assert result.invalid == expected.invalid, genome
     assert result.phenotype == expected.phenotype, genome
@@ -69,7 +70,7 @@ def test_mapping_agrees_with_oracle_on_the_controller_grammars():
         spec = grammar_to_spec(grammar)
         for _ in range(150):
             genome = rng.integers(0, 256, size=40).tolist()
-            result = map_genome(genome, grammar)
+            result = mapping_result(genome, grammar)
             expected = oracle_map(genome, spec, grammar.start)
             assert result.invalid == expected.invalid
             assert result.phenotype == expected.phenotype
@@ -82,7 +83,7 @@ def test_mapping_agrees_with_oracle_on_the_controller_grammars():
 
 def test_every_expansion_consumes_a_codon_even_without_choice():
     chain = parse_grammar('s: a\na: "x"\n')
-    result = map_genome([0], chain)
+    result = mapping_result([0], chain)
     assert not result.invalid
     assert result.phenotype == "x"
     assert result.used_codons == 2  # both single-production rules consumed one
@@ -91,10 +92,10 @@ def test_every_expansion_consumes_a_codon_even_without_choice():
 
 def test_wrap_budget_allows_three_full_reads():
     triple = parse_grammar('s: a a a\na: "x"\n')
-    short = map_genome([0], triple)
+    short = mapping_result([0], triple)
     assert short.invalid
     assert (short.used_codons, short.wraps) == (3, 2)
-    enough = map_genome([0, 0], triple)
+    enough = mapping_result([0, 0], triple)
     assert not enough.invalid
     assert enough.phenotype == "x x x"
     assert (enough.used_codons, enough.wraps) == (4, 1)
@@ -102,7 +103,8 @@ def test_wrap_budget_allows_three_full_reads():
 
 
 def test_empty_genome_is_invalid_not_an_error():
-    result = map_genome([], TOY_GRAMMAR)
+    assert map_genome([], TOY_GRAMMAR) is None
+    result = mapping_result([], TOY_GRAMMAR)
     assert result.invalid
     assert result.phenotype is None
     assert result.tree is None and result.ast is None
@@ -123,7 +125,7 @@ def test_integer_arrays_are_checked_in_one_pass():
 
     def outcome(genome):
         try:
-            return map_genome(genome, TOY_GRAMMAR).phenotype
+            return mapping_result(genome, TOY_GRAMMAR).phenotype
         except ValueError as exc:
             return str(exc)
 
@@ -140,12 +142,12 @@ def test_integer_arrays_are_checked_in_one_pass():
 def test_modulo_selects_productions():
     # b has three alternatives; codons 2, 5 and 8 all hit index 2
     for codon in (2, 5, 8):
-        result = map_genome([1, 1, codon, 0, 0], TOY_GRAMMAR)
+        result = mapping_result([1, 1, codon, 0, 0], TOY_GRAMMAR)
         assert result.phenotype == "w x"
 
 
 def test_tree_terminals_reads_left_to_right():
-    result = map_genome([1, 0, 0, 1, 1, 0], TOY_GRAMMAR)
+    result = mapping_result([1, 0, 0, 1, 1, 0], TOY_GRAMMAR)
     assert not result.invalid
     assert " ".join(tree_terminals(result.tree)) == result.phenotype
 
@@ -156,7 +158,7 @@ def test_tree_terminals_reads_left_to_right():
 
 def test_known_codons_decode_to_a_monitor_program():
     grammar = load_grammar("blue")
-    result = map_genome([0, 0, 1, 2], grammar)
+    result = mapping_result([0, 0, 1, 2], grammar)
     assert not result.invalid
     assert (result.used_codons, result.wraps) == (4, 0)
     assert result.phenotype == (
@@ -173,7 +175,7 @@ def test_known_codons_decode_to_a_monitor_program():
 
 def test_known_codons_decode_to_a_conditional_program():
     grammar = load_grammar("blue")
-    result = map_genome([0, 0, 0, 2, 0, 1, 0, 1, 3], grammar)
+    result = mapping_result([0, 0, 0, 2, 0, 1, 0, 1, 3], grammar)
     assert not result.invalid
     assert (result.used_codons, result.wraps) == (10, 1)
     assert result.ast == RuleAst(
@@ -192,12 +194,12 @@ def test_known_codons_decode_to_a_conditional_program():
 
 def test_all_zero_codons_recurse_forever_and_come_back_invalid():
     grammar = load_grammar("blue")
-    result = map_genome([0] * 1000, grammar)
+    result = mapping_result([0] * 1000, grammar)
     assert result.invalid
     assert result.wraps == MAX_WRAPS
 
 
 def test_toy_grammar_produces_no_ast():
-    result = map_genome([0, 0], TOY_GRAMMAR)
+    result = mapping_result([0, 0], TOY_GRAMMAR)
     assert not result.invalid
     assert result.ast is None

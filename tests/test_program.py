@@ -34,21 +34,19 @@ def tree_equal(a, b) -> bool:
 
 def valid_tree(grammar, rng, length=200):
     while True:
-        result = map_genome(rng.integers(0, 256, size=length).tolist(), grammar)
-        if not result.invalid:
-            return result.tree
+        tree = map_genome(rng.integers(0, 256, size=length).tolist(), grammar)
+        if tree is not None:
+            return tree
 
 
 def test_render_known_tree_exactly():
     grammar = load_grammar("blue")
-    result = map_genome(MONITOR_CODONS, grammar)
-    assert render_program(result.tree) == MONITOR_TEXT
+    assert render_program(map_genome(MONITOR_CODONS, grammar)) == MONITOR_TEXT
 
 
 def test_render_indents_nested_ifs():
     grammar = load_grammar("blue")
-    result = map_genome([0, 0, 0, 2, 0, 1, 0, 1, 3], grammar)
-    text = render_program(result.tree)
+    text = render_program(map_genome([0, 0, 0, 2, 0, 1, 0, 1, 3], grammar))
     assert (
         "    if root_access_levels(observation, name) > 1:\n"
         "        action = AllowTrafficZone\n"
@@ -58,7 +56,7 @@ def test_render_indents_nested_ifs():
 
 def test_parse_recovers_the_rendered_tree():
     grammar = load_grammar("blue")
-    original = map_genome(MONITOR_CODONS, grammar).tree
+    original = map_genome(MONITOR_CODONS, grammar)
     reparsed = parse_program(MONITOR_TEXT, grammar)
     assert tree_equal(original, reparsed)
 

@@ -57,7 +57,7 @@ def build_team(spec, side: str):
         return [load_fsm_adversary(side)]
     algorithm, controllers, variant, genome_seed = spec
     decoder = make_decoder(algorithm, side, controllers, variant)
-    individual = fresh_individual(decoder, np.random.default_rng(genome_seed), retry_cap=100)
+    individual = fresh_individual(decoder, np.random.default_rng(genome_seed))
     assert individual.valid, f"no valid {algorithm} {side} team from seed {genome_seed}"
     return individual.team
 
