@@ -30,7 +30,7 @@ from ..grammar.ast import (
 from ..scenario.actions import is_legal
 from ..scenario.observations import Observation
 from ..seeds import ScalarStream
-from .base import FIRST_TARGET, LAST_TARGET, RANDOM_TARGET, TARGET_HEURISTICS
+from .base import FIRST_TARGET, RANDOM_TARGET, TARGET_HEURISTICS
 
 DEFAULT_ACTION = "Sleep"
 
@@ -51,15 +51,13 @@ def resolve_target(
     ``random_target`` draws one ``rng.integers`` over the list; an empty
     candidate list resolves to None.
     """
+    if heuristic == RANDOM_TARGET:
+        return hosts[rng.integers(len(hosts))] if hosts else None
     if heuristic not in TARGET_HEURISTICS:
         raise ControllerError(f"unknown target heuristic {heuristic!r}")
     if not hosts:
         return None
-    if heuristic == FIRST_TARGET:
-        return hosts[0]
-    if heuristic == LAST_TARGET:
-        return hosts[-1]
-    return hosts[int(rng.integers(0, len(hosts)))]
+    return hosts[0] if heuristic == FIRST_TARGET else hosts[-1]
 
 
 def _eval_operator(op, observation: Observation) -> bool:

@@ -24,6 +24,9 @@ from .seeds import STREAM_CONTROLLER, ScalarStream, spawn_stream
 
 Team = Sequence[Controller]
 
+# The actions that take no target.
+_TARGETLESS = frozenset(a for a, kind in TARGET_KINDS.items() if kind == TARGET_NONE)
+
 
 def controller_for(team: Team, agent: RedAgent | BlueAgent) -> Controller:
     """The controller that decides for ``agent``: the shared one, or its slot's."""
@@ -39,7 +42,7 @@ def resolve_heuristic_target(
     rng: ScalarStream,
 ) -> Optional[str]:
     """Turn a (action, heuristic) decision into a concrete target."""
-    if TARGET_KINDS[action] == TARGET_NONE:
+    if action in _TARGETLESS:
         return None
     return resolve_target(heuristic, context.targets(action), rng)
 
@@ -78,8 +81,12 @@ def run_episode(
                 )
             controller, context = decider
             action, heuristic = controller.decide(context, rng)
-            target = resolve_heuristic_target(action, heuristic, context, rng)
-            submissions[name] = (action, target)
+            if action in _TARGETLESS:  # skip the resolver's call for a sure None
+                submissions[name] = (action, None)
+            else:
+                submissions[name] = (
+                    action, resolve_heuristic_target(action, heuristic, context, rng)
+                )
         blue_rewards.append(sim.step(submissions).blue_reward)
     return EpisodeResult(
         blue_total=float(sum(blue_rewards)),

@@ -82,8 +82,9 @@ DEFAULT_DURATIONS = {
 }
 
 
-_LEGAL = {side: frozenset(actions) for side, actions in ACTIONS_BY_SIDE.items()}
+# Every (side, action) pair an agent may submit.
+LEGAL = frozenset((side, a) for side, actions in ACTIONS_BY_SIDE.items() for a in actions)
 
 
 def is_legal(side: str, action: str) -> bool:
-    return action in _LEGAL.get(side, ())
+    return (side, action) in LEGAL

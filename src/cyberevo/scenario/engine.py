@@ -10,14 +10,19 @@ The decision context computes nothing up front.  A rule controller asks
 it for the agent's observation, a matrix controller's classifier asks it
 for counters, and the episode runner asks it for the candidate targets
 of the one action chosen, so each decision pays only for what its
-controller reads.  The one part of an observation shared by every blue
-agent is counted once, at set-up and at the end of each `step`.
+controller reads.  What those reads need is kept current rather than
+recounted: each red agent keeps its root-session and known-server
+counts, which change only through its session methods and `learn`, and
+blue's three observations, one per success flag, are built once, at
+set-up and at the end of each `step`.  Zone-action targets are kept
+too: each blue agent's are fixed, and red's are rebuilt with the routes.
 
 Step order is fixed for determinism: submissions are enqueued, blue
-agents before red ones, pending actions tick down, blue completions
-apply before red completions, the red team's automatic spawns roll,
-green users act, rewards are scored and blue's shared counts are
-recomputed.
+agents before red ones; each agent, in the same order, ticks its pending
+action down and applies it if it completes, so blue completions apply
+before red ones (no handler reads a pending action, so this is ticking
+every agent first); the red team's automatic spawns roll, green users
+act, rewards are scored and blue's shared counts are recomputed.
 
 The green users' draws are part of the seed contract.  The service
 table lists one entry per service the network offers, in topology order,
@@ -25,20 +30,32 @@ so a host appears once for each service it runs.  Each green host, in
 topology order, draws one `random()` to choose local work; otherwise it
 draws `integers(len(table))`, an index into the service table, again
 until the service is not on its own host, and an access that reaches a
-compromised host draws one more `random()` for a red spawn.  The two
-probability draws, like each zone's phishing roll, are compared as raw
-words: `ScalarStream.next_word()` against the probability's
-`seeds.word_cut`, which reads the same word and gives the same answer
-as `random() < p`.
+compromised host draws one more `random()` for a red spawn.  The
+service draw runs Lemire's rejection loop inline on
+`ScalarStream.next_half`, with the table's span and threshold taken once
+per step, and gives exactly `integers(len(table))`; a table of one entry
+draws nothing.  The two probability draws, like each zone's phishing
+roll, are compared as raw words: `ScalarStream.next_word()` against the
+probability's `seeds.word_cut`, which reads the same word and gives the
+same answer as `random() < p`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from ..errors import ControllerError, SimulationFault
-from ..seeds import STREAM_TOPOLOGY, ScalarStream, derive_seed, spawn_stream, word_cut
+from ..seeds import (
+    LOW32,
+    STREAM_TOPOLOGY,
+    ScalarStream,
+    derive_seed,
+    lemire_threshold,
+    spawn_stream,
+    word_cut,
+)
 from . import actions as act
 from .config import ScenarioConfig
 from .observations import FALSE, TRUE, UNKNOWN, Observation
@@ -67,9 +84,23 @@ DETECT_SCAN = "scan"
 DETECT_EXPLOIT = "exploit"
 DETECT_DECOY = "decoy"
 
-# Every zone's reachable zones while no edge is blocked; `_routes`
-# replaces the table rather than mutating it, so all episodes share it.
+# Every zone's reachable zones while no edge is blocked, and each zone's
+# red zone-action targets: those zones in `ZONES` order.  `_routes`
+# replaces both tables rather than mutating them, so all episodes share
+# them.
 _OPEN_ROUTES = zone_reachable(set())
+
+
+def _zone_targets(routes: dict[str, frozenset[str]]) -> dict[str, list[str]]:
+    return {a: [z for z in ZONES if z in reach] for a, reach in routes.items()}
+
+
+_OPEN_ZONE_TARGETS = _zone_targets(_OPEN_ROUTES)
+
+# What a one-entry service table draws from: `integers(1)` draws nothing.
+_NO_HALVES = repeat(0).__next__
+
+_TARGET_KINDS = act.TARGET_KINDS
 
 # The green failures, one shared event per (zone, kind).
 _GREEN_FAILURES = {
@@ -143,14 +174,24 @@ class HostRuntime:
 
 
 class RedAgent:
+    """One red agent's sessions and knowledge.
+
+    ``roots`` counts the root sessions and ``known_servers`` the known
+    hosts that are among ``servers``, the topology's servers.  Both are
+    kept current, so every change to ``sessions`` goes through
+    `set_session` or `drop_session`, and every new host through `learn`.
+    """
+
     side = act.RED
     __slots__ = (
         "name", "slot", "zone", "entry_host", "anchor", "sessions",
         "known", "known_set", "scanned", "decoys_known",
         "pending", "last_success", "last_discovery_step",
+        "servers", "roots", "known_servers",
     )
 
-    def __init__(self, name: str, slot: int, zone: str, entry_host: str, anchor: bool):
+    def __init__(self, name: str, slot: int, zone: str, entry_host: str, anchor: bool,
+                 servers: frozenset[str] = frozenset()):
         self.name = name
         self.slot = slot
         self.zone = zone
@@ -164,19 +205,39 @@ class RedAgent:
         self.pending: tuple[str, str | None, int] | None = None
         self.last_success = UNKNOWN
         self.last_discovery_step = -1
+        self.servers = servers
+        self.roots = 0
+        self.known_servers = 1 if entry_host in servers else 0
 
     def learn(self, host_id: str) -> bool:
         if host_id in self.known_set:
             return False
         self.known.append(host_id)
         self.known_set.add(host_id)
+        if host_id in self.servers:
+            self.known_servers += 1
         return True
+
+    def set_session(self, host_id: str, level: int) -> None:
+        """Hold a session of ``level`` on ``host_id``, a known host."""
+        sessions = self.sessions
+        if sessions.get(host_id) == ROOT_LEVEL:
+            self.roots -= 1
+        sessions[host_id] = level
+        if level == ROOT_LEVEL:
+            self.roots += 1
+
+    def drop_session(self, host_id: str) -> None:
+        """Lose the session held on ``host_id``."""
+        if self.sessions.pop(host_id) == ROOT_LEVEL:
+            self.roots -= 1
 
 
 class BlueAgent:
     side = act.BLUE
-    __slots__ = ("name", "slot", "zones", "home_host", "zone_hosts", "zone_states", "pending",
-                 "last_success", "monitor_step", "analysed_clean_step")
+    __slots__ = ("name", "slot", "zones", "home_host", "zone_hosts", "zone_states",
+                 "zone_targets", "pending", "last_success", "monitor_step",
+                 "analysed_clean_step")
 
     def __init__(self, name: str, slot: int, zones: tuple[str, ...], home_host: str,
                  zone_states: list[tuple[str, HostRuntime]]):
@@ -187,6 +248,8 @@ class BlueAgent:
         # The hosts of the agent's zones, in topology order, and their state.
         self.zone_states = zone_states
         self.zone_hosts = [host_id for host_id, _ in zone_states]
+        # Every zone outside the agent's own: its zone actions' targets.
+        self.zone_targets = [z for z in ZONES if z not in zones]
         self.pending: tuple[str, str | None, int] | None = None
         self.last_success = UNKNOWN
         self.monitor_step = -1
@@ -207,14 +270,16 @@ RED_TARGET_SESSIONS = {
 class AgentContext:
     """One agent's decision context: a live view over the simulation state.
 
-    Nothing is computed when the view is made, and nothing is kept.
-    `observation` gives what a rule program reads, `counters` the
-    classifier's counters and `targets` the candidate list of one
-    action; each reads the state when it is called, so one view answers
-    for whichever step its agent is at.  The episode runner makes one
+    Nothing is computed when the view is made, and the view keeps
+    nothing itself.  `observation` gives what a rule program reads,
+    `counters` the classifier's counters and `targets` the candidate
+    list of one action; each reads the state when it is called, so one
+    view answers for whichever step its agent is at.  The counts a red
+    observation reads are kept by the agent, and blue's observations by
+    the simulation (see the module doc).  The episode runner makes one
     view per agent object and keeps it all episode.  A returned list may
-    be the agent's own: read it before the next `step()`, which may
-    change it.
+    be the agent's own or shared by every episode: never change it, and
+    read it before the next `step()`, which may change it.
     """
 
     __slots__ = ("sim", "agent", "side")
@@ -227,18 +292,19 @@ class AgentContext:
     def observation(self) -> Observation:
         """The success flag and the five counts a rule program reads.
 
-        A red agent's counts are read from the agent; blue agents share
-        theirs, which the simulation counts at the end of each step.
+        A red agent's counts are read from the agent, which keeps them;
+        blue agents share theirs, and the simulation builds blue's
+        observation for each success flag at the end of each step.
         """
         agent = self.agent
         if self.side == act.BLUE:
-            return Observation(agent.last_success, *self.sim._blue_counts)
+            return self.sim._blue_observations[agent.last_success]
         # Sessions are always on known hosts, so they count directly.
-        roots = [*agent.sessions.values()].count(ROOT_LEVEL)
-        servers = len(self.sim._servers & agent.known_set)
-        return Observation(
-            agent.last_success, len(agent.known), len(agent.sessions), roots, servers, roots
-        )
+        roots = agent.roots
+        return tuple.__new__(Observation, (
+            agent.last_success, len(agent.known), len(agent.sessions), roots,
+            agent.known_servers, roots,
+        ))
 
     def counters(self) -> dict[str, int]:
         """The counters the state classifier reads for this agent."""
@@ -282,11 +348,10 @@ class AgentContext:
         ones only, by first flag, when any is flagged.
         """
         sim, agent = self.sim, self.agent
-        if act.TARGET_KINDS[action] == act.TARGET_ZONE:
+        if _TARGET_KINDS[action] == act.TARGET_ZONE:
             if self.side == act.RED:
-                reach = sim._routes()[agent.zone]
-                return [z for z in ZONES if z in reach]
-            return [z for z in ZONES if z not in agent.zones]
+                return sim._red_zone_targets()[agent.zone]
+            return agent.zone_targets
         if self.side == act.RED:
             level = RED_TARGET_SESSIONS.get(action)
             if level is None:
@@ -322,6 +387,7 @@ class ScenarioSim:
         self.hosts: dict[str, HostRuntime] = {h: HostRuntime() for h in self.topology.hosts}
         self.blocked: set[tuple[str, str]] = set()
         self._reach = _OPEN_ROUTES
+        self._reach_targets = _OPEN_ZONE_TARGETS
         self._reach_dirty = False
         self.red_agents: list[RedAgent | None] = [None] * RED_SLOTS
         self.blue_agents: dict[str, BlueAgent] = {}
@@ -330,14 +396,15 @@ class ScenarioSim:
         self._analysed: set[HostRuntime] = set()
         self._zone_failures: dict[str, int] = {}
         self._last_applied_step = -1
-        # The active agents in step order, rebuilt when red's roster changes.
+        # The active agents in step order and their names, rebuilt when
+        # red's roster changes.
         self._agents: list[RedAgent | BlueAgent] | None = None
+        self._agent_names: frozenset[str] = frozenset()
         hosts = self.topology.hosts
         self._greens = [(h, host.zone, self.hosts[h]) for h, host in hosts.items() if not host.server]
         self._service_table = [
             (h, host.zone, self.hosts[h]) for h, host in hosts.items() for _ in range(host.services)
         ]
-        self._draw_service = self.rng.below(len(self._service_table))
         # `next_word() < cut` is `random() < p` (see `seeds.word_cut`).
         self._local_work_cut = word_cut(GREEN_LOCAL_WORK_P)
         self._spawn_cut = word_cut(SERVICE_SPAWN_P)
@@ -352,7 +419,8 @@ class ScenarioSim:
     def _spawn_initial_agents(self):
         contractor_hosts = self.topology.hosts_by_zone["contractor_uav"]
         entry = contractor_hosts[self.rng.integers(len(contractor_hosts))]
-        self.red_agents[0] = RedAgent("red_0", 0, "contractor_uav", entry, anchor=True)
+        self.red_agents[0] = RedAgent("red_0", 0, "contractor_uav", entry, anchor=True,
+                                      servers=self._servers)
         self.hosts[entry].red_level = USER_LEVEL
         for slot, (name, zones) in enumerate(BLUE_AGENT_ZONES):
             home = self.topology.servers_in(zones[0])[0]
@@ -369,6 +437,7 @@ class ScenarioSim:
             agents = self._agents = [
                 *self.blue_agents.values(), *(a for a in self.red_agents if a is not None)
             ]
+            self._agent_names = frozenset(a.name for a in agents)
         return agents
 
     def idle_agents(self) -> list[RedAgent | BlueAgent]:
@@ -406,8 +475,14 @@ class ScenarioSim:
                 a: frozenset(b for b in reach if self._zone_pair(a, b) not in blocked)
                 for a, reach in zone_reachable(blocked).items()
             }
+            self._reach_targets = _zone_targets(self._reach)
             self._reach_dirty = False
         return self._reach
+
+    def _red_zone_targets(self) -> dict[str, list[str]]:
+        """Each zone's `_routes` in `ZONES` order: red's zone-action targets."""
+        self._routes()
+        return self._reach_targets
 
     # ------------------------------------------------------------------
     # the step function
@@ -426,15 +501,23 @@ class ScenarioSim:
         self._zone_failures = {}
 
         agents = self._active_agents()
-        submitted = [(a, agent_actions[a.name]) for a in agents if a.name in agent_actions]
-        if len(submitted) != len(agent_actions):
-            unknown = set(agent_actions).difference(a.name for a in agents)
+        if not self._agent_names.issuperset(agent_actions):
+            unknown = set(agent_actions).difference(self._agent_names)
             raise SimulationFault(f"actions submitted for unknown agents {sorted(unknown)}")
-        for agent, submission in submitted:
-            self._submit(agent, submission)
+        for agent in agents:
+            submission = agent_actions.get(agent.name)
+            if submission is not None:
+                self._submit(agent, submission)
 
-        completions = self._tick_pending(agents)
-        for agent, action, target in completions:
+        for agent in agents:
+            pending = agent.pending
+            if pending is None:
+                continue
+            action, target, remaining = pending
+            if remaining > 1:
+                agent.pending = (action, target, remaining - 1)
+                continue
+            agent.pending = None
             # Blue completions come first.  One of them may have evicted a
             # red agent; its in-flight action dies with it.
             if agent.side == act.BLUE or self.red_agents[agent.slot] is agent:
@@ -453,7 +536,7 @@ class ScenarioSim:
 
     def _submit(self, agent: RedAgent | BlueAgent, submission: tuple[str, str | None]):
         action, target = submission
-        if not act.is_legal(agent.side, action):
+        if (agent.side, action) not in act.LEGAL:
             raise SimulationFault(
                 f"{agent.name} submitted illegal action {action!r} for side {agent.side}"
             )
@@ -461,7 +544,7 @@ class ScenarioSim:
             if action == "Sleep":
                 return
             raise SimulationFault(f"{agent.name} submitted {action} while busy")
-        kind = act.TARGET_KINDS[action]
+        kind = _TARGET_KINDS[action]
         if kind == act.TARGET_NONE:
             if target is not None:
                 raise SimulationFault(f"{action} takes no target, got {target!r}")
@@ -479,22 +562,8 @@ class ScenarioSim:
                 # The machine is offline for the whole reimaging window.
                 self.hosts[target].restoring = True
 
-    def _tick_pending(self, agents: list[RedAgent | BlueAgent]):
-        completions = []
-        for agent in agents:
-            if agent.pending is None:
-                continue
-            action, target, remaining = agent.pending
-            remaining -= 1
-            if remaining > 0:
-                agent.pending = (action, target, remaining)
-            else:
-                agent.pending = None
-                completions.append((agent, action, target))
-        return completions
-
     def _apply(self, agent: RedAgent | BlueAgent, action: str, target: str | None, events: list[StepEvent]):
-        if target is None and act.TARGET_KINDS[action] != act.TARGET_NONE:
+        if target is None and _TARGET_KINDS[action] != act.TARGET_NONE:
             agent.last_success = FALSE
         elif action == "Sleep":
             agent.last_success = TRUE
@@ -542,7 +611,7 @@ class ScenarioSim:
                 continue
             if red.anchor and target == red.entry_host:
                 continue
-            del red.sessions[target]
+            red.drop_session(target)
             removed = True
         self._recompute_level(target)
         self._deactivate_empty_agents()
@@ -560,9 +629,9 @@ class ScenarioSim:
                 continue
             if red.anchor and target == red.entry_host:
                 # The contractor foothold survives any cleanup.
-                red.sessions[target] = USER_LEVEL
+                red.set_session(target, USER_LEVEL)
                 continue
-            del red.sessions[target]
+            red.drop_session(target)
         self._recompute_level(target)
         self._deactivate_empty_agents()
         host.degraded = False
@@ -642,7 +711,7 @@ class ScenarioSim:
         if self.rng.random() < SCAN_DETECT_STEALTH_P:
             self._record_detection(target, DETECT_EXPLOIT)
         if target_zone == agent.zone:
-            agent.sessions[target] = max(agent.sessions.get(target, 0), USER_LEVEL)
+            agent.set_session(target, max(agent.sessions.get(target, 0), USER_LEVEL))
             self._recompute_level(target)
             return True
         return self._hand_red_session(target_zone, target)
@@ -652,7 +721,7 @@ class ScenarioSim:
             return False
         if self.rng.random() >= ESCALATE_P:
             return False
-        agent.sessions[target] = ROOT_LEVEL
+        agent.set_session(target, ROOT_LEVEL)
         self._recompute_level(target)
         events.append(StepEvent(REWARD_ZONE_OF[self.topology.hosts[target].zone], RED_IMPACT_ACCESS))
         return True
@@ -682,7 +751,7 @@ class ScenarioSim:
             return False
         if agent.anchor and target == agent.entry_host:
             return False
-        del agent.sessions[target]
+        agent.drop_session(target)
         self._recompute_level(target)
         self._deactivate_empty_agents()
         return True
@@ -691,7 +760,8 @@ class ScenarioSim:
     # background processes
 
     def _spawn_red(self, slot: int, zone: str, entry_host: str):
-        agent = RedAgent(f"red_{slot}", slot, zone, entry_host, anchor=False)
+        agent = RedAgent(f"red_{slot}", slot, zone, entry_host, anchor=False,
+                         servers=self._servers)
         self.red_agents[slot] = agent
         self._agents = None
         self.hosts[entry_host].red_level = max(self.hosts[entry_host].red_level, USER_LEVEL)
@@ -712,17 +782,26 @@ class ScenarioSim:
 
     def _run_greens(self, events: list[StepEvent]):
         """Each green host works locally or uses a service (see the module doc)."""
-        word, draw = self.rng.next_word, self._draw_service
+        rng = self.rng
+        word = rng.next_word
         local_work_cut, spawn_cut = self._local_work_cut, self._spawn_cut
         table, routes = self._service_table, self._routes()
+        span = len(table)
+        threshold = lemire_threshold(span)
+        half = rng.next_half if span > 1 else _NO_HALVES
         for host_id, zone, host in self._greens:
             if word() < local_work_cut:
                 if host.degraded or host.restoring:
                     self._green_failure(zone, LOCAL_WORK_FAILS, events)
                 continue
-            target, target_zone, target_state = table[draw()]
-            while target == host_id:
-                target, target_zone, target_state = table[draw()]
+            # `integers(span)` (see `ScalarStream`), again while the
+            # service is on the green's own host.
+            while True:
+                product = half() * span
+                if product & LOW32 >= threshold:
+                    target, target_zone, target_state = table[product >> 32]
+                    if target != host_id:
+                        break
             if target_zone not in routes[zone] or target_state.degraded or target_state.restoring:
                 # Failed service access is charged to the zone offering the service.
                 self._green_failure(target_zone, ACCESS_SERVICE_FAILS, events)
@@ -740,8 +819,8 @@ class ScenarioSim:
         resident = self._red_in_zone(zone)
         if resident is not None:
             if host_id not in resident.sessions:  # a held session is known and counted
-                resident.sessions[host_id] = USER_LEVEL
                 resident.learn(host_id)
+                resident.set_session(host_id, USER_LEVEL)
                 self._recompute_level(host_id)
             return True
         slot = self._free_slot()
@@ -796,7 +875,13 @@ class ScenarioSim:
         for host in self._analysed:
             files_user += host.files_user_evidence
             files_root += host.files_root_evidence
-        self._blue_counts = (scans, files_user, files_root, len(self._servers))
+        counts = (scans, files_user, files_root, len(self._servers), 0)
+        new = tuple.__new__
+        self._blue_observations = {
+            TRUE: new(Observation, (TRUE, *counts)),
+            FALSE: new(Observation, (FALSE, *counts)),
+            UNKNOWN: new(Observation, (UNKNOWN, *counts)),
+        }
 
     def agent_context(self, name: str) -> AgentContext:
         """A live view of one agent's decision context (see `AgentContext`)."""

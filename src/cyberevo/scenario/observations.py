@@ -3,12 +3,16 @@
 An observation holds exactly what a rule program reads: the success flag
 of the agent's last completed action and the five counts named by the
 grammars' observation functions.  A program's condition reads the field
-of the same name.  Only rule controllers read observations: one is built
-when a rule controller asks the agent's decision context for it
-(`AgentContext.observation`).
+of the same name.  Only rule controllers read observations, through the
+agent's decision context (`AgentContext.observation`).  A red agent's
+is built when asked, from counts the agent keeps current; blue's are
+built by the simulation once per step, one for each success flag, and
+shared by every blue agent with that flag.
 
 An `Observation` is a named tuple: immutable, hashable and cheap to
-build.  Rule controllers key their decision memos on it.
+build.  The engine builds it with ``tuple.__new__``, which skips the
+named tuple's Python-level constructor.  Rule controllers key their
+decision memos on it.
 """
 
 from __future__ import annotations
@@ -25,10 +29,14 @@ class Observation(NamedTuple):
 
     A red agent counts its known hosts (``connections``), its sessions
     (``files_user``), its root sessions (``files_root`` and
-    ``root_access_levels``) and its known servers (``n_servers``).
+    ``root_access_levels``) and its known servers (``n_servers``).  The
+    agent keeps its root-session and known-server counts current as its
+    sessions and knowledge change (`RedAgent.set_session`,
+    `RedAgent.learn`).
 
     Blue agents differ only in their success flag; the engine counts
-    the rest once at set-up and at the end of each step: scans detected
+    the rest once at set-up and at the end of each step, and builds one
+    observation per flag from those counts: scans detected
     that step in a monitored zone (``connections``), the evidence
     Analyse found (``files_user``, ``files_root``), the topology's
     server count (``n_servers``, fixed for the episode, and above every

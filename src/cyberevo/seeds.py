@@ -20,8 +20,11 @@ The three streams an episode owns (topology, scenario, controller) are
 `ScalarStream`s from `spawn_stream`: they draw one scalar at a time, and
 reproduce numpy's ``Generator.random()`` and ``Generator.integers()``
 bit for bit from the generator's raw 64-bit words, without numpy's
-per-call overhead.  A loop that draws over one fixed span, as the
-engine's green users do, takes a draw function from
+per-call overhead.  Bounded draws read 32-bit half-words from one
+source, ``ScalarStream.next_half``.  A loop that draws over one fixed
+span runs Lemire's rejection loop itself on ``next_half``, with the
+span's `lemire_threshold` computed once, as the engine's green users do;
+topology generation, whose spans are few, takes a draw function from
 ``ScalarStream.below(span)`` once and calls it without arguments.  A
 loop that tests one fixed probability ``p`` computes ``word_cut(p)``
 once and compares raw words from ``ScalarStream.next_word`` with it:
@@ -36,7 +39,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import chain, repeat
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,7 +51,8 @@ STREAM_CONTROLLER = 404
 # Raw words read from the bit generator at a time.
 _BLOCK = 256
 _UNIT = 2.0**-53
-_LOW32 = 0xFFFFFFFF
+# A half-word's mask, and the number of half-word values.
+LOW32 = 0xFFFFFFFF
 _SPAN32 = 1 << 32
 
 
@@ -101,6 +105,28 @@ def word_cut(p: float) -> int:
     return math.ceil(p * 2.0**53) << 11
 
 
+def lemire_threshold(span: int) -> int:
+    """The cut of Lemire's rejection loop over ``span`` values.
+
+    A draw multiplies a half-word by ``span`` and redraws while the
+    product's low 32 bits fall below ``(2**32 - span) % span``; the
+    product's high 32 bits are then uniform in ``[0, span)`` (Lemire
+    2019, "Fast Random Integer Generation in an Interval").
+    """
+    return (_SPAN32 - span) % span
+
+
+def _halves(buffered: int | None, next_word: Callable[[], int]) -> Iterator[int]:
+    """PCG64's half-words: the buffered one first, then each word's low
+    half and then its high half."""
+    if buffered is not None:
+        yield buffered
+    while True:
+        word = next_word()
+        yield word & LOW32
+        yield word >> 32
+
+
 class ScalarStream:
     """A PCG64 Generator's scalar ``random()`` and ``integers()``, in Python.
 
@@ -109,27 +135,29 @@ class ScalarStream:
 
     * ``random()`` is ``(w >> 11) * 2**-53`` on the next raw word ``w``;
     * ``integers(low, high)`` is Lemire's bounded draw on 32-bit
-      half-words: the low half of a fresh word first, its high half
-      buffered for the next half-word draw (PCG64's ``has_uint32`` and
-      ``uinteger``), redrawing while the product's low 32 bits fall
-      below ``(2**32 - span) % span``.  A span of 1 draws nothing.
+      half-words from ``next_half``, redrawing while the product's low
+      32 bits fall below `lemire_threshold`.  A span of 1 draws nothing.
 
-    ``below(span)`` returns a function that gives ``integers(span)``
-    draws from the same rejection loop and half-word buffer.
+    ``next_half()`` returns the next half-word: the one the wrapped
+    Generator had buffered (PCG64's ``has_uint32`` and ``uinteger``),
+    if any, then the low half of a fresh word, then its high half.
     ``next_word()`` returns the next raw word itself, the word a
     ``random()`` call would have read; compare it with a `word_cut`.
-    It leaves the half-word buffer alone, as ``random()`` does.  Spans up
-    to ``2**32`` are supported.  The stream reads the bit generator
-    ahead in blocks, so the wrapped Generator must not be used once it
-    is wrapped.
+    A word it reads leaves a half-word held by ``next_half`` where it
+    was, as ``random()`` leaves PCG64's buffer.  ``below(span)`` returns
+    a function that gives ``integers(span)`` draws from the same loop
+    and half-words.  Spans up to ``2**32`` are supported.  The stream
+    reads the bit generator ahead in blocks, so the wrapped Generator
+    must not be used once it is wrapped.
     """
 
     def __init__(self, generator: np.random.Generator):
         bit_generator = generator.bit_generator
         state = bit_generator.state
-        self._half: int | None = state["uinteger"] if state["has_uint32"] else None
         blocks = map(np.ndarray.tolist, map(bit_generator.random_raw, repeat(_BLOCK)))
         self.next_word = chain.from_iterable(blocks).__next__
+        buffered = state["uinteger"] if state["has_uint32"] else None
+        self.next_half = _halves(buffered, self.next_word).__next__
 
     def random(self) -> float:
         """A float in [0, 1), as ``Generator.random()``."""
@@ -144,13 +172,13 @@ class ScalarStream:
             return low
         if not 1 < span <= _SPAN32:
             raise ValueError(f"integers({low}, {high}): span {span} is not in [1, 2**32]")
-        return low + self._bounded(span, (_SPAN32 - span) % span)
+        return low + self._bounded(span, lemire_threshold(span))
 
     def below(self, span: int) -> Callable[[], int]:
         """A function that draws ``integers(span)`` each time it is called.
 
-        It shares this stream's words and buffered half-word, so its
-        draws interleave with ``random()`` and ``integers()`` exactly as
+        It shares this stream's words and half-words, so its draws
+        interleave with ``random()`` and ``integers()`` exactly as
         ``integers(span)`` calls would; it only skips their per-call
         argument checks.
         """
@@ -158,18 +186,12 @@ class ScalarStream:
             return lambda: 0  # a span of 1 draws nothing
         if not 1 < span <= _SPAN32:
             raise ValueError(f"below({span}): span {span} is not in [1, 2**32]")
-        return partial(self._bounded, span, (_SPAN32 - span) % span)
+        return partial(self._bounded, span, lemire_threshold(span))
 
     def _bounded(self, span: int, threshold: int) -> int:
         """Lemire's rejection loop: an int in [0, span) from half-words."""
+        next_half = self.next_half
         while True:
-            half = self._half
-            if half is None:
-                word = self.next_word()
-                self._half = word >> 32
-                half = word & _LOW32
-            else:
-                self._half = None
-            product = half * span
-            if product & _LOW32 >= threshold:
+            product = next_half() * span
+            if product & LOW32 >= threshold:
                 return product >> 32

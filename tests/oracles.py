@@ -6,7 +6,10 @@ explicit sentential-form list instead of a work stack), so agreement
 between the two is meaningful.  The program-text oracle enumerates
 every derivation by full backtracking, where the library makes one
 ordered-choice pass.  The topology oracle checks a network against the
-documented shape.
+documented shape.  The green-user oracle replays the engine module
+docstring's draws with plain ``integers`` and ``random`` calls, and the
+red recount counts from the raw sessions and known hosts what each red
+agent keeps.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from itertools import product as iter_product
 
 from cyberevo.errors import ScenarioConfigError
 from cyberevo.grammar.model import DerivNode, NonTerminal, Terminal
+from cyberevo.scenario import engine
+from cyberevo.scenario.engine import ROOT_LEVEL, USER_LEVEL
+from cyberevo.scenario.rewards import ACCESS_SERVICE_FAILS, LOCAL_WORK_FAILS
 from cyberevo.scenario.topology import HOST_ZONES, INTERNET
 
 # A grammar spec is {rule: [production, ...]} where each production is a
@@ -147,3 +153,48 @@ def check_topology(topology, bounds) -> None:
     for host in topology.hosts.values():
         if not bounds.services[0] <= host.services <= bounds.services[1]:
             raise ScenarioConfigError(f"host {host.id} has {host.services} services, outside {bounds.services}")
+
+
+def service_hosts(topology) -> list[str]:
+    """The service table as host ids: each host once per service it runs,
+    in topology order."""
+    return [h for h, host in topology.hosts.items() for _ in range(host.services)]
+
+
+def oracle_greens(sim, events: list, services: list[str]) -> None:
+    """One step of the green users, as the engine module docstring says.
+
+    Each green host, in topology order, draws ``random()`` for local
+    work; otherwise it draws ``integers(len(services))`` until the
+    service is not on its own host.  Local work on a degraded or
+    restoring host fails in the green's zone; an access fails in the
+    service's zone when the service's zone is out of reach or its host
+    is degraded or restoring; otherwise an access to a compromised host
+    draws ``random()`` for a red session on the green host.  The
+    probabilities are read from the engine module when called.
+    """
+    rng, hosts = sim.rng, sim.topology.hosts
+    for host_id, host in hosts.items():
+        if host.server:
+            continue
+        state = sim.hosts[host_id]
+        if rng.random() < engine.GREEN_LOCAL_WORK_P:
+            if state.degraded or state.restoring:
+                sim._green_failure(host.zone, LOCAL_WORK_FAILS, events)
+            continue
+        target = services[rng.integers(len(services))]
+        while target == host_id:
+            target = services[rng.integers(len(services))]
+        target_zone, target_state = hosts[target].zone, sim.hosts[target]
+        if (not sim.reachable(host.zone, target_zone)
+                or target_state.degraded or target_state.restoring):
+            sim._green_failure(target_zone, ACCESS_SERVICE_FAILS, events)
+        elif target_state.red_level >= USER_LEVEL and rng.random() < engine.SERVICE_SPAWN_P:
+            sim._hand_red_session(host.zone, host_id)
+
+
+def recount_red(sim, red) -> tuple[int, int]:
+    """A red agent's root sessions and known servers, counted afresh."""
+    roots = sum(1 for level in red.sessions.values() if level == ROOT_LEVEL)
+    servers = sum(1 for host_id in red.known if sim.topology.hosts[host_id].server)
+    return roots, servers

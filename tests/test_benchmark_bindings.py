@@ -54,3 +54,19 @@ def test_round_zero_matches_its_pinned_digest(workload, size, tmp_path):
         assert result.problems == ()
         digest.update(result.output)
     assert digest.hexdigest() == PINNED[workload][size][str(DEFAULT_SEED)][0]
+
+
+def test_round_zero_of_the_tiny_workloads_reaches_every_traced_layer(tmp_path):
+    """A hot-path edit that stops calling a traced name, say by binding
+    it at import time, would leave that layer's row empty."""
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        for workload in sorted(WORKLOADS.WORKLOADS):
+            bench = WORKLOADS.WORKLOADS[workload](DEFAULT_SEED, "tiny", str(tmp_path / workload))
+            for unit in range(bench.per_round):
+                assert bench.run_unit(unit).problems == ()
+    finally:
+        tracer.uninstall()
+    unreached = [name for name in TRACER.LAYER_NAMES if tracer.totals[name][0] == 0]
+    assert unreached == []

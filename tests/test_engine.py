@@ -564,7 +564,6 @@ def only_green(sim: ScenarioSim, green: str, service: str):
     """Leave `green` the only green host and `service` the only service."""
     sim._greens = [(green, sim.topology.hosts[green].zone, sim.hosts[green])]
     sim._service_table = [(service, sim.topology.hosts[service].zone, sim.hosts[service])]
-    sim._draw_service = sim.rng.below(1)
 
 
 def test_green_access_failure_is_charged_to_the_service_zone(quiet):
@@ -638,7 +637,7 @@ def test_red_observation_reflects_scans_and_privilege():
     assert red.last_success == TRUE
     assert (obs.connections, obs.files_user) == (1, 1)
     assert (obs.files_root, obs.root_access_levels) == (0, 0)
-    red.sessions[entry] = ROOT_LEVEL
+    red.set_session(entry, ROOT_LEVEL)
     obs = observe(sim, "red_0")  # read when asked, so it sees the new root
     assert (obs.connections, obs.files_user) == (1, 1)
     assert (obs.files_root, obs.root_access_levels) == (1, 1)

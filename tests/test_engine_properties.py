@@ -4,8 +4,9 @@ Hypothesis draws an episode seed and the scenario's event
 probabilities; both teams pick uniformly among their legal actions and
 target heuristics.  Before every step each idle agent's candidate
 targets must match the state they are drawn from; after every step the
-network state and every active agent's observation must agree with each
-other.
+network state, every active agent's observation and each red agent's
+kept counts must agree with each other.  The green users are replayed
+against an oracle written from the engine's documented draws.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +35,7 @@ from cyberevo.scenario.topology import ZONES
 from cyberevo.seeds import STREAM_CONTROLLER, spawn_generator
 
 from helpers import agent_names
+from oracles import oracle_greens, recount_red, service_hosts
 
 STEPS = 30
 
@@ -125,6 +128,7 @@ def check_invariants(sim: ScenarioSim, result) -> None:
         assert obs.files_user == len(red.sessions)
         assert obs.files_root == obs.root_access_levels == roots
         assert obs.n_servers == len(servers & red.known_set)
+        assert (red.roots, red.known_servers) == recount_red(sim, red), red.name
     for host_id, runtime in sim.hosts.items():
         assert runtime.red_level == levels[host_id], host_id
     evidence = (
@@ -241,3 +245,85 @@ def test_a_kept_context_answers_as_a_fresh_one(seed, fsm, phishing_p):
                     action, resolve_heuristic_target(action, heuristic, context, rng)
                 )
             sim.step(submissions)
+
+
+class WideTable:
+    """A service table of ``span`` entries that repeats a real one.
+
+    Over the real table's few dozen entries, Lemire's loop redraws a
+    half-word fewer than once in 10**7 draws; over 2**31 + 5 it redraws
+    about every other one, so a loop that skipped or misplaced its threshold
+    test would draw differently at once.
+    """
+
+    def __init__(self, entries, span: int):
+        self.entries, self.span = entries, span
+
+    def __len__(self) -> int:
+        return self.span
+
+    def __getitem__(self, index: int):
+        return self.entries[index % len(self.entries)]
+
+
+def red_rosters(sim: ScenarioSim) -> list:
+    """Each red slot's agent as plain values, or None."""
+    return [
+        None if red is None else (red.name, red.zone, red.entry_host, dict(red.sessions), list(red.known))
+        for red in sim.red_agents
+    ]
+
+
+@pytest.mark.parametrize("table", ["topology", "one", "wide"])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    local_work_p=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    service_spawn_p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    phishing_p=st.sampled_from([0.0, 0.02, 0.3]),
+)
+def test_green_users_draw_as_the_documented_oracle_does(
+    seed, local_work_p, service_spawn_p, phishing_p, table
+):
+    """Two sims of one seed, one running `_run_greens` and one the oracle,
+    see the same events, the same red sessions and rosters, and the same
+    next scenario-stream word and half-word after every step.  The
+    service table is the topology's, a `WideTable` over it, or one
+    entry, on a server so no green holds it, which must draw nothing."""
+    config = ScenarioConfig(steps=STEPS, phase_boundaries=(10, 20))
+    with patch.multiple(
+        engine,
+        GREEN_LOCAL_WORK_P=local_work_p,
+        SERVICE_SPAWN_P=service_spawn_p,
+        PHISHING_P=phishing_p,
+    ):
+        library, oracle = ScenarioSim(config, seed), ScenarioSim(config, seed)
+        services = service_hosts(oracle.topology)
+        if table == "one":
+            server = next(h for h in services if oracle.topology.hosts[h].server)
+            services = [server]
+            library._service_table = [
+                (server, library.topology.hosts[server].zone, library.hosts[server])
+            ]
+        elif table == "wide":
+            services = WideTable(services, 2**31 + 5)
+            library._service_table = WideTable(library._service_table, 2**31 + 5)
+        oracle._run_greens = lambda events: oracle_greens(oracle, events, services)
+        teams = {"blue": RandomLegalController("blue"), "red": RandomLegalController("red")}
+        rngs = {sim: spawn_generator(seed, STREAM_CONTROLLER) for sim in (library, oracle)}
+        for step in range(config.steps):
+            results = []
+            for sim, rng in rngs.items():
+                submissions = {}
+                for agent in sim.idle_agents():
+                    context = sim.agent_context(agent.name)
+                    action, heuristic = teams[agent.side].decide(context, rng)
+                    submissions[agent.name] = (
+                        action, resolve_heuristic_target(action, heuristic, context, rng)
+                    )
+                results.append(sim.step(submissions))
+            assert results[0].events == results[1].events, step
+            assert results[0].blue_reward == results[1].blue_reward, step
+            assert red_rosters(library) == red_rosters(oracle), step
+            assert library.rng.next_word() == oracle.rng.next_word(), step
+            assert library.rng.next_half() == oracle.rng.next_half(), step

@@ -185,8 +185,8 @@ def test_below_matches_numpy_integers_draw_for_draw(seed, span, before, built_af
 def test_below_starts_from_a_half_word_buffered_when_it_is_built():
     generator, stream = spawn_generator(6, 3), spawn_stream(6, 3)
     assert generator.integers(180) == stream.integers(180)  # buffers a high half
-    assert stream._half is not None
-    draw = stream.below(3)
+    assert generator.bit_generator.state["has_uint32"] == 1
+    draw = stream.below(3)  # its first draw must read the buffered half, as numpy's does
     expected = [generator.integers(3) for _ in range(50)]
     assert [draw() for _ in range(50)] == expected
     assert_same_draws(generator, stream, [("random",), ("integers", 180)])
